@@ -43,7 +43,7 @@ __all__ = [
     "to_sarif", "sarif_document", "ALL_PASSES", "AnalysisContext",
     "AnalysisPass", "run_passes",
     "build_comm_graph", "FlowPass", "ProvenancePass", "CostPass",
-    "compute_provenance", "sweep_cost_hints",
+    "compute_provenance",
     "LintCache", "lint_cached", "lint_cached_composition",
     "default_cache_dir",
 ]
@@ -69,7 +69,6 @@ _LAZY = {
     "ProvenancePass": "provenance",
     "compute_provenance": "provenance",
     "CostPass": "cost",
-    "sweep_cost_hints": "cost",
     "LintCache": "cache",
     "lint_cached": "cache",
     "lint_cached_composition": "cache",

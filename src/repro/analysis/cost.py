@@ -13,36 +13,34 @@ log-space keeps the numbers additive and finite::
                     + sum_A  log2(n^arity(A) + 1)            (action)
                     + sum_Q  bound * log2(n^arity(Q) + 1)    (queues)
 
-These are *hints*, not admissible bounds -- the propositional
-abstraction ignores rule guards entirely -- but they are monotone in
-what actually drives sweep cost (arity, domain size, queue bounds), so
-:func:`sweep_cost_hints` uses them to weight the work-stealing batch
-sizes in :func:`repro.verifier.parallel.plan_batches`: expensive
-``(group, ctx)`` cells get smaller batches (finer-grained stealing),
-cheap ones bigger batches (less queue traffic).
+An unbounded queue counts one slot, like a 1-bounded one: its contents
+have no finite bound to charge.  These are *hints*, not admissible
+bounds -- the propositional abstraction ignores rule guards entirely --
+but they are monotone in what actually drives sweep cost (arity, domain
+size, queue bounds).
 
-The lint-facing :func:`cost_pass` publishes the same numbers on the
-report (``cost_hints``) for a nominal domain, and never emits
-diagnostics -- cost is advisory, not a defect.
+The lint-facing :func:`cost_pass` publishes the numbers on the report
+(``cost_hints``) for a nominal domain, and never emits diagnostics --
+cost is advisory, not a defect.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from ..spec.composition import Composition
 from ..spec.peer import Peer
 from .diagnostics import Diagnostic
 from .passes import AnalysisContext, AnalysisPass
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..verifier.parallel import SweepPayload
-
 
 def peer_state_bits(peer: Peer, domain_size: int,
-                    queue_bound: int = 1) -> float:
-    """Log2 upper bound on *peer*'s local state-space contribution."""
+                    queue_bound: int | None = 1) -> float:
+    """Log2 upper bound on *peer*'s local state-space contribution.
+
+    *queue_bound* is the channel semantics' queue bound; ``None``
+    (unbounded queues) counts one slot per queue.
+    """
     n = max(2, domain_size)
     bits = 0.0
     for sym in peer.states:
@@ -52,13 +50,13 @@ def peer_state_bits(peer: Peer, domain_size: int,
     for sym in peer.actions:
         bits += math.log2(float(n) ** sym.arity + 1.0)
     for sym in peer.in_queues + peer.out_queues:
-        slots = max(1, queue_bound)
+        slots = max(1, queue_bound or 1)
         bits += slots * math.log2(float(n) ** sym.arity + 1.0)
     return bits
 
 
 def composition_cost(composition: Composition, domain_size: int,
-                     queue_bound: int = 1) -> dict[str, float]:
+                     queue_bound: int | None = 1) -> dict[str, float]:
     """Per-peer bits plus the composition total, for one domain size."""
     peers = {
         peer.name: peer_state_bits(peer, domain_size, queue_bound)
@@ -71,48 +69,22 @@ def composition_cost(composition: Composition, domain_size: int,
     }
 
 
-def sweep_cost_hints(payload: "SweepPayload",
-                     ) -> dict[tuple[int, int], float]:
-    """Relative cost weights per ``(group, ctx)`` cell of a sweep grid.
-
-    ``group`` indexes the property, ``ctx`` the database context; the
-    weight is the composition's state bits over that context's domain,
-    scaled by the property's FO payload count (more payloads mean more
-    letter evaluations per product step).
-    """
-    bound = max(1, payload.semantics.queue_bound)
-    base = {
-        ctx_idx: sum(
-            peer_state_bits(peer, len(ctx.domain.values), bound)
-            for peer in payload.composition.peers
-        )
-        for ctx_idx, ctx in enumerate(payload.contexts)
-    }
-    hints: dict[tuple[int, int], float] = {}
-    for group, sentence in enumerate(payload.sentences):
-        factor = 1.0 + float(len(list(sentence.fo_payloads())))
-        for ctx_idx, bits in base.items():
-            hints[(group, ctx_idx)] = bits * factor
-    return hints
-
-
 def cost_pass(ctx: AnalysisContext) -> list[Diagnostic]:
     """Publish nominal cost hints on the context; emits no diagnostics."""
     composition = ctx.composition
     nominal = max(2, len(composition.constants()) + 1)
     ctx.cost_hints = composition_cost(
-        composition, nominal, max(1, ctx.semantics.queue_bound))
+        composition, nominal, ctx.semantics.queue_bound)
     return []
 
 
 #: The pass object registered in :data:`repro.analysis.passes.ALL_PASSES`.
 CostPass = AnalysisPass(
     "cost", cost_pass,
-    "static reachable-state cost model (batch-sizing hints)",
+    "static reachable-state cost model (advisory hints)",
 )
 
 
 __all__ = [
     "CostPass", "composition_cost", "cost_pass", "peer_state_bits",
-    "sweep_cost_hints",
 ]

@@ -15,7 +15,6 @@ Usage::
     python -m repro profile SPEC.dws|LIBRARY [--workers N] ...
     python -m repro merge-shards shard_*.json [--output FILE]
     python -m repro top [--run RUN_ID] [--once]
-    python -m repro doctor [--clean]
     python -m repro trace convert TRACE.jsonl... [--output FILE]
     python -m repro metrics export METRICS.json [--output FILE]
     python -m repro bench check [--metrics-dir DIR] [--json]
@@ -68,8 +67,7 @@ shards) into a Chrome trace-event JSON loadable in Perfetto.
 ``repro metrics export`` renders any metrics JSON (snapshot, fragment,
 or merged document) in Prometheus text exposition format.
 ``repro bench check`` is the regression sentinel over
-``benchmarks/metrics/BENCH_*.json``; ``repro doctor`` audits leaked
-shared-memory segments (``--clean`` unlinks them).
+``benchmarks/metrics/BENCH_*.json``.
 """
 
 from __future__ import annotations
@@ -776,7 +774,7 @@ def cmd_merge_shards(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# observability surface: top / doctor / trace convert / metrics export
+# observability surface: top / trace convert / metrics export
 # / bench check
 
 
@@ -807,33 +805,6 @@ def cmd_top(args: argparse.Namespace) -> int:
             time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
-
-
-def cmd_doctor(args: argparse.Namespace) -> int:
-    """Audit the host for observability/shm hygiene problems."""
-    from .verifier.shm import clean_segments, leaked_segments, shm_available
-    from .obs import runs_root
-
-    print(f"shared memory available: {shm_available()}")
-    print(f"runs directory: {runs_root()}")
-    leaks = leaked_segments()
-    if not leaks:
-        print("leaked graph segments: none")
-        return 0
-    print(f"leaked graph segments ({len(leaks)}):")
-    for name in leaks:
-        print(f"  /dev/shm/{name}")
-    if not args.clean:
-        print("stale segments hold shared memory until unlinked; "
-              "re-run with --clean to remove them", file=sys.stderr)
-        return 1
-    removed = clean_segments(leaks)
-    print(f"cleaned {len(removed)} segment(s)")
-    remaining = leaked_segments()
-    if remaining:
-        print(f"could not remove: {remaining}", file=sys.stderr)
-        return 1
-    return 0
 
 
 def cmd_trace_convert(args: argparse.Namespace) -> int:
@@ -1106,15 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="refresh interval in seconds (default 1.0)")
     p_top.set_defaults(func=cmd_top)
 
-    p_doctor = sub.add_parser(
-        "doctor",
-        help="audit shm/observability hygiene (exit 1 on leaked "
-             "segments)",
-    )
-    p_doctor.add_argument("--clean", action="store_true",
-                          help="unlink stale graph segments")
-    p_doctor.set_defaults(func=cmd_doctor)
-
     p_trace = sub.add_parser(
         "trace",
         help="operate on trace JSONL files",
@@ -1185,8 +1147,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Run-ledger role per command; commands absent here (top, doctor,
-#: trace, metrics, bench) are read-only observers and open no run.
+#: Run-ledger role per command; commands absent here (top, trace,
+#: metrics, bench) are read-only observers and open no run.
 _RUN_ROLES = {
     "verify": "driver", "check": "driver", "lint": "driver",
     "simulate": "driver", "profile": "driver",

@@ -26,8 +26,8 @@ A zero-dependency measurement substrate for the verifier pipeline:
 
 The registry and trace sink are per process.  Worker processes of the
 parallel sweep start from a clean slate (:func:`reset_for_worker`) and
-ship their phase/cache deltas back to the driver inside
-``TaskOutcome``; see :mod:`repro.verifier.parallel`.
+ship their phase/cache deltas back to the driver inside each
+``BatchOutcome``; see :mod:`repro.verifier.parallel`.
 """
 
 from .bench import (

@@ -105,8 +105,8 @@ class ProgressPlane(NullProgress):
     """Writes rate-limited heartbeats for one run to the runs root.
 
     Single-writer by design: the driver process owns it and folds in
-    worker outcomes as they arrive on the result queue, so no
-    cross-process coordination is needed beyond the atomic replace.
+    worker outcomes as their batches complete, so no cross-process
+    coordination is needed beyond the atomic replace.
     """
 
     enabled = True

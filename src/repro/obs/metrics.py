@@ -17,9 +17,8 @@ from bisect import bisect_left
 from typing import Mapping
 
 #: Version tag stamped on every registry snapshot.  ``/2`` adds an
-#: optional top-level ``run`` key (the run-ledger id) and allows the
-#: ``shm.segments_active`` additive gauge; the numeric layout of
-#: counters/gauges/histograms/phases is unchanged from ``/1``.
+#: optional top-level ``run`` key (the run-ledger id); the numeric
+#: layout of counters/gauges/histograms/phases is unchanged from ``/1``.
 SCHEMA = "repro.metrics/2"
 
 #: Snapshot schemas the merge paths accept.  Committed ``BENCH_*.json``

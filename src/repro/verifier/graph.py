@@ -93,17 +93,13 @@ class StateInterner:
 def _as_q_array(data) -> array:
     """Coerce CSR buffer data back into an owned ``array('q')``.
 
-    Accepts whatever the pickle layer hands us: an ``array`` (older
-    pickles), in-band ``bytes``/``bytearray`` (a :class:`pickle.
-    PickleBuffer` serialized without out-of-band transport), or a
-    ``memoryview`` (out-of-band buffer, or a shared-memory cast).
+    Older pickles carry an ``array``; protocol-5 pickles carry the
+    in-band bytes of a :class:`pickle.PickleBuffer`.
     """
     if isinstance(data, array):
         return data
-    if isinstance(data, memoryview):
-        data = data.cast("B")
     out = array("q")
-    out.frombytes(bytes(data))
+    out.frombytes(data)
     return out
 
 
@@ -120,13 +116,9 @@ class ExploredGraph:
     of ``i`` are ``targets[offsets[i]:offsets[i+1]]``, in the exact
     order :func:`repro.runtime.step.successors` produced them.
 
-    ``offsets``/``targets`` are normally ``array('q')`` buffers, but a
-    graph attached from shared memory carries ``memoryview`` casts over
-    the mapping instead (see :mod:`repro.verifier.shm`) -- every access
-    pattern used here (indexing, slicing, ``len``) behaves identically.
-    Pickling always materializes owned arrays, and under protocol 5 the
-    CSR buffers travel as :class:`pickle.PickleBuffer` so transports
-    that support out-of-band buffers skip one copy.
+    ``offsets``/``targets`` are ``array('q')`` buffers; under pickle
+    protocol 5 they travel as :class:`pickle.PickleBuffer`, so
+    transports that support out-of-band buffers skip one copy.
     """
 
     __slots__ = ("states", "initial_ids", "offsets", "targets", "budget")
@@ -151,7 +143,7 @@ class ExploredGraph:
 
     @property
     def csr_nbytes(self) -> int:
-        """Bytes of the two CSR buffers (the zero-copy payload)."""
+        """Bytes of the two CSR buffers."""
         itemsize = array("q").itemsize
         return (len(self.offsets) + len(self.targets)) * itemsize
 

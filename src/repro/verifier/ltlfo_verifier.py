@@ -23,6 +23,7 @@ small databases via :func:`repro.verifier.domain.enumerate_databases`.
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping, Sequence
 
 from ..fo.instance import Instance
@@ -31,23 +32,17 @@ from ..ib.checker import check_composition, check_sentence
 from ..errors import InputBoundednessError
 from ..ltlfo.formulas import LTLFOSentence
 from ..ltlfo.parser import parse_ltlfo
-from ..obs import diff_numeric, phase_counts, phase_seconds
-from ..runtime.run import Lasso
-from ..runtime.step import rule_cache_delta, rule_cache_info
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
 from .domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
-from .graph import SharedExploration, resolve_engine
+from .graph import resolve_engine
 from .parallel import (
-    check_one_valuation, parallel_verify, parallel_verify_all,
-    parallel_verify_over_databases, resolve_shard, resolve_workers,
+    SweepContext, SweepPayload, grid_tasks, resolve_workers, run_sweep,
 )
-from .product import SearchBudget, TransitionCache
-from .result import (
-    Counterexample, Stopwatch, VerificationResult, VerifierStats,
-)
+from .product import SearchBudget
+from .result import VerificationResult
 
 
 def _as_sentence(prop: LTLFOSentence | str,
@@ -92,6 +87,47 @@ def preflight(composition: Composition,
     return classify(composition, sentences, semantics)
 
 
+def _valuations(sentence: LTLFOSentence, domain: VerificationDomain,
+                candidates: Mapping[str, Sequence[Value]] | None
+                ) -> list[dict]:
+    """The canonical valuations of *sentence*, restricted to *candidates*."""
+    valuations = canonical_valuations(sentence.variables, domain)
+    if not candidates:
+        return valuations
+    return [
+        v for v in valuations
+        if all(var.name not in candidates or v[var] in candidates[var.name]
+               for var in sentence.variables)
+    ]
+
+
+def _context(databases: Mapping[str, Instance],
+             domain: VerificationDomain) -> SweepContext:
+    return SweepContext(tuple(sorted(databases.items())), domain)
+
+
+def _sweep(composition: Composition, contexts: Sequence[SweepContext],
+           sentences: Sequence[LTLFOSentence], cells,
+           semantics: ChannelSemantics,
+           workers: int | None, engine: str | None,
+           shard: tuple[int, int] | None,
+           env_value_domain: Sequence[Value] | None = None,
+           **options) -> list[VerificationResult]:
+    """Build the payload and the task grid of *cells*; run the sweep."""
+    payload = SweepPayload(
+        composition=composition,
+        contexts=tuple(contexts),
+        sentences=tuple(sentences),
+        semantics=semantics,
+        env_value_domain=(tuple(env_value_domain)
+                          if env_value_domain is not None else None),
+        engine=resolve_engine(engine),
+        **options,
+    )
+    tasks = grid_tasks(cells, shard)
+    return run_sweep(payload, tasks, resolve_workers(workers))
+
+
 def verify(composition: Composition,
            prop: LTLFOSentence | str,
            databases: Mapping[str, Instance],
@@ -100,13 +136,12 @@ def verify(composition: Composition,
            check_input_bounded: bool = True,
            budget: SearchBudget | None = None,
            include_environment: bool = True,
-           transition_cache: TransitionCache | None = None,
            valuation_candidates: Mapping[str, Sequence[Value]] | None = None,
            env_value_domain: Sequence[Value] | None = None,
            env_one_action_per_move: bool = True,
            fair_scheduling: bool = False,
            workers: int | None = None,
-           engine: str | SharedExploration | None = None,
+           engine: str | None = None,
            shard: tuple[int, int] | None = None,
            ) -> VerificationResult:
     """Decide ``composition |= prop`` over the given databases.
@@ -129,10 +164,6 @@ def verify(composition: Composition,
         bounded-domain estimate.
     check_input_bounded:
         Enforce the Theorem 3.4 restrictions before searching.
-    transition_cache:
-        Share one :class:`TransitionCache` across several properties of
-        the same composition/databases/semantics (a large saving when
-        checking property batches).
     valuation_candidates:
         Optional per-closure-variable value restriction (variable name ->
         values).  Restricting a variable makes the check complete only
@@ -149,133 +180,38 @@ def verify(composition: Composition,
         Fan the valuation sweep out across this many worker processes
         (``None``: the ``REPRO_WORKERS`` environment default, normally
         1; ``0``: all cores).  Verdicts and counterexamples are
-        identical to the sequential sweep (see
-        :mod:`repro.verifier.parallel`).  Ignored when a shared
-        ``transition_cache`` is supplied, since worker processes cannot
-        populate the caller's in-process cache.
+        identical to the in-process sweep (see
+        :mod:`repro.verifier.parallel`).
     engine:
         ``"shared"`` (default; overridable via ``REPRO_ENGINE``) runs
         the search over a hash-consed exploration shared across
         valuations -- the reachable graph is frozen into CSR form after
         the first valuation and later valuations are pure graph walks
         (see :mod:`repro.verifier.graph`).  ``"seed"`` is the original
-        per-valuation engine.  A :class:`SharedExploration` instance
-        reuses that exploration directly (``verify_all`` does this to
-        share one frozen graph across a property batch).  Verdicts,
-        counterexamples, and search node counts are identical either
-        way (Theorem 3.4's graph is valuation-independent).
+        per-valuation engine.  Verdicts, counterexamples, and search
+        node counts are identical either way (Theorem 3.4's graph is
+        valuation-independent).
     shard:
         ``(index, count)`` restricts the sweep to the valuations whose
         global order falls in this shard's residue class
         (``order % count == index``), for splitting one sweep across
         machines.  Each shard emits a fragment; ``repro merge-shards``
         reassembles the global verdict (see
-        :mod:`repro.verifier.shards`).  Sharding always routes through
-        the task-grid engine -- it cannot combine with a caller-supplied
-        ``transition_cache`` or :class:`SharedExploration` instance.
+        :mod:`repro.verifier.shards`).
     """
     sentence = _as_sentence(prop, composition)
     _check_restrictions(composition, sentence, check_input_bounded)
-
     if domain is None:
-        domain = verification_domain(
-            composition, [sentence], databases
-        )
-
-    valuations = canonical_valuations(sentence.variables, domain)
-    if valuation_candidates:
-        valuations = [
-            v for v in valuations
-            if all(
-                var.name not in valuation_candidates
-                or v[var] in valuation_candidates[var.name]
-                for var in sentence.variables
-            )
-        ]
-
-    n_workers = resolve_workers(workers)
-    shard = resolve_shard(shard)
-    if shard is not None and (transition_cache is not None
-                              or isinstance(engine, SharedExploration)):
-        raise ValueError(
-            "shard= cannot combine with transition_cache= or a "
-            "SharedExploration engine instance"
-        )
-    if ((n_workers > 1 or shard is not None)
-            and transition_cache is None
-            and (len(valuations) > 1 or shard is not None)
-            and not isinstance(engine, SharedExploration)):
-        return parallel_verify(
-            composition, sentence, databases, semantics, domain,
-            valuations, n_workers, budget=budget,
-            include_environment=include_environment,
-            env_value_domain=env_value_domain,
-            env_one_action_per_move=env_one_action_per_move,
-            fair_scheduling=fair_scheduling,
-            engine=resolve_engine(engine),
-            shard=shard,
-        )
-
-    stats = VerifierStats()
-    if isinstance(engine, SharedExploration):
-        shared_engine: SharedExploration | None = engine
-        cache = engine.cache
-    else:
-        cache = transition_cache or TransitionCache(
-            composition, databases, domain.values, semantics,
-            include_environment=include_environment, budget=budget,
-            env_value_domain=env_value_domain,
-            env_one_action_per_move=env_one_action_per_move,
-        )
-        shared_engine = (SharedExploration(cache)
-                         if resolve_engine(engine) == "shared" else None)
-    result_counterexample: Counterexample | None = None
-    cache_before = rule_cache_info()
-    seconds_before = phase_seconds()
-    counts_before = phase_counts()
-
-    with Stopwatch(stats):
-        for index, valuation in enumerate(valuations):
-            if shared_engine is not None and index == 1:
-                # the first valuation explored lazily (it may decide the
-                # verdict without the full graph); from the second on,
-                # freeze so remaining valuations are pure graph walks
-                shared_engine.complete(strict=False)
-            stats.valuations_checked += 1
-            outcome = check_one_valuation(
-                composition, sentence, valuation, domain, cache,
-                fair_scheduling=fair_scheduling, engine=shared_engine,
-            )
-            stats.nba_states_total += outcome.nba_states
-            stats.merge_search(outcome.blue_visited, outcome.red_visited)
-            if outcome.violated:
-                stats.decisive_order = index
-                result_counterexample = Counterexample(
-                    valuation={
-                        var.name: value
-                        for var, value in valuation.items()
-                    },
-                    lasso=Lasso(outcome.lasso_prefix, outcome.lasso_cycle),
-                    property_text=str(sentence),
-                )
-                break
-        stats.system_states = (
-            cache.states_expanded if cache is not None
-            else len(shared_engine.interner)
-        )
-
-    stats.merge_phases(diff_numeric(phase_seconds(), seconds_before),
-                       diff_numeric(phase_counts(), counts_before))
-    stats.merge_rule_cache(rule_cache_delta(cache_before))
-
-    return VerificationResult(
-        satisfied=result_counterexample is None,
-        property_text=str(sentence),
-        counterexample=result_counterexample,
-        stats=stats,
-        domain_description=domain.describe(),
-        semantics_description=semantics.describe(),
-    )
+        domain = verification_domain(composition, [sentence], databases)
+    return _sweep(
+        composition, [_context(databases, domain)], [sentence],
+        [(0, 0, _valuations(sentence, domain, valuation_candidates))],
+        semantics, workers, engine, shard, budget=budget,
+        include_environment=include_environment,
+        env_value_domain=env_value_domain,
+        env_one_action_per_move=env_one_action_per_move,
+        fair_scheduling=fair_scheduling,
+    )[0]
 
 
 def verify_over_databases(composition: Composition,
@@ -286,7 +222,12 @@ def verify_over_databases(composition: Composition,
                           semantics: ChannelSemantics = DECIDABLE_DEFAULT,
                           workers: int | None = None,
                           engine: str | None = None,
-                          **kwargs) -> VerificationResult:
+                          domain: VerificationDomain | None = None,
+                          check_input_bounded: bool = True,
+                          valuation_candidates: Mapping[
+                              str, Sequence[Value]] | None = None,
+                          shard: tuple[int, int] | None = None,
+                          **options) -> VerificationResult:
     """Decide the property over *every* database within the given bounds.
 
     The completeness companion to :func:`verify`: enumerates all database
@@ -296,64 +237,39 @@ def verify_over_databases(composition: Composition,
 
     ``relation_arities_by_peer`` maps each peer name to the relation
     arities of the databases to enumerate, e.g.
-    ``{"S": {"items": 1}}``.
+    ``{"S": {"items": 1}}``.  The remaining keyword arguments (and the
+    *options* ``budget``, ``include_environment``, ``env_value_domain``,
+    ``env_one_action_per_move`` and ``fair_scheduling``) mean what they
+    mean for :func:`verify`.
 
-    With ``workers > 1`` the full (database, valuation) grid is fanned
-    out across worker processes; the first violated cell in enumeration
-    order decides, so the verdict and counterexample match the
-    sequential enumeration.  Keyword arguments beyond
-    ``check_input_bounded``/``budget``/``domain`` force the sequential
-    path (they configure per-call machinery the grid does not ship).
+    The full (database, valuation) grid is one sweep in combination-major
+    order: the first violated cell decides, and the stats aggregate the
+    whole grid, so verdict, counterexample and counters are the same at
+    every worker count.
     """
     from .domain import enumerate_databases
-    import itertools
 
+    sentence = _as_sentence(prop, composition)
+    _check_restrictions(composition, sentence, check_input_bounded)
     per_peer: list[list[tuple[str, Instance]]] = []
     for peer_name in sorted(relation_arities_by_peer):
         arities = relation_arities_by_peer[peer_name]
         instances = enumerate_databases(arities, domain_values,
                                         max_rows=max_rows)
         per_peer.append([(peer_name, inst) for inst in instances])
+    combos = [dict(c) for c in itertools.product(*per_peer)]
+    assert combos, "no database combination enumerated"
 
-    combos = (
-        [dict(c) for c in itertools.product(*per_peer)] if per_peer
-        else [{}]
-    )
-
-    n_workers = resolve_workers(workers)
-    parallel_ok = not (set(kwargs) - {"check_input_bounded", "budget",
-                                      "domain"})
-    if n_workers > 1 and len(combos) > 1 and parallel_ok:
-        sentence = _as_sentence(prop, composition)
-        _check_restrictions(composition, sentence,
-                            kwargs.get("check_input_bounded", True))
-        fixed_domain = kwargs.get("domain")
-        domains = [
-            fixed_domain or verification_domain(composition, [sentence],
-                                                dbs)
-            for dbs in combos
-        ]
-        valuations_per_combo = [
-            canonical_valuations(sentence.variables, dom)
-            for dom in domains
-        ]
-        return parallel_verify_over_databases(
-            composition, sentence, combos, semantics, domains,
-            valuations_per_combo, n_workers,
-            budget=kwargs.get("budget"),
-            engine=resolve_engine(engine),
-        )
-
-    last: VerificationResult | None = None
-    for databases in combos:
-        result = verify(composition, prop, databases,
-                        semantics=semantics, workers=n_workers,
-                        engine=engine, **kwargs)
-        if not result.satisfied:
-            return result
-        last = result
-    assert last is not None, "no database combination enumerated"
-    return last
+    contexts = [
+        _context(dbs, domain or verification_domain(composition,
+                                                     [sentence], dbs))
+        for dbs in combos
+    ]
+    cells = [(0, ctx_idx, _valuations(sentence, ctx.domain,
+                                      valuation_candidates))
+             for ctx_idx, ctx in enumerate(contexts)]
+    return _sweep(composition, contexts, [sentence], cells, semantics,
+                  workers, engine, shard, **options)[0]
 
 
 def verify_all(composition: Composition,
@@ -369,41 +285,18 @@ def verify_all(composition: Composition,
                ) -> list[VerificationResult]:
     """Verify several properties sharing one transition-system exploration.
 
-    With ``workers > 1`` every (property, valuation) pair becomes one
-    task of the parallel sweep; under the shared engine the driver
-    pre-expands the reachable graph once and ships it to every worker.
-    Sequentially, one :class:`SharedExploration` (interner, frozen
-    graph, snapshot/letter caches) serves the whole batch.  Verdicts
-    and counterexamples are identical to the sequential seed batch.
+    Every (property, valuation) pair is one task of a single sweep, one
+    result group per property.  In-process, one exploration (interner,
+    frozen graph, snapshot/letter caches) serves the whole batch; a pool
+    gets the graph pre-expanded once by the driver.  Verdicts and
+    counterexamples are identical to verifying each property alone.
     """
     sentences = [_as_sentence(p, composition) for p in props]
+    for sentence in sentences:
+        _check_restrictions(composition, sentence, check_input_bounded)
     if domain is None:
         domain = verification_domain(composition, sentences, databases)
-
-    engine_mode = resolve_engine(engine)
-    n_workers = resolve_workers(workers)
-    shard = resolve_shard(shard)
-    if (n_workers > 1 or shard is not None) and sentences:
-        for sentence in sentences:
-            _check_restrictions(composition, sentence, check_input_bounded)
-        valuations_per_sentence = [
-            canonical_valuations(s.variables, domain) for s in sentences
-        ]
-        return parallel_verify_all(
-            composition, sentences, databases, semantics, domain,
-            valuations_per_sentence, n_workers, budget=budget,
-            engine=engine_mode, shard=shard,
-        )
-
-    cache = TransitionCache(
-        composition, databases, domain.values, semantics, budget=budget,
-    )
-    shared: str | SharedExploration = engine_mode
-    if engine_mode == "shared":
-        shared = SharedExploration(cache)
-    return [
-        verify(composition, s, databases, semantics=semantics,
-               domain=domain, check_input_bounded=check_input_bounded,
-               budget=budget, transition_cache=cache, engine=shared)
-        for s in sentences
-    ]
+    cells = [(group, 0, canonical_valuations(sentence.variables, domain))
+             for group, sentence in enumerate(sentences)]
+    return _sweep(composition, [_context(databases, domain)], sentences,
+                  cells, semantics, workers, engine, shard, budget=budget)

@@ -1,50 +1,45 @@
-"""Parallel valuation-sweep execution engine for the LTL-FO verifier.
+"""The valuation sweep: one task grid, run in-process or on a process pool.
 
 The verifier's outer loop is embarrassingly parallel: each canonical
 valuation of the property's closure variables (times each candidate
 database, for enumeration sweeps) spawns an independent Büchi
-translation plus nested-DFS emptiness search.  This module fans that
-(valuation, database) task grid out across worker processes, organized
-in three planes:
+translation plus nested-DFS emptiness search.  Every ``verify*`` entry
+point describes its work the same way -- a :class:`SweepPayload`
+(composition, database contexts, sentences, semantics) plus a grid of
+:class:`SweepTask` cells -- and calls :func:`run_sweep`, the one
+valuation loop of :mod:`repro.verifier`.
 
-* **Zero-copy graph plane.**  Under the shared engine the driver
-  expands the valuation-independent reachable graph once (Theorem 3.4)
-  and publishes its CSR arrays in a ``multiprocessing.shared_memory``
-  segment (:mod:`repro.verifier.shm`); workers *attach* read-only views
-  instead of unpickling private copies, so seeding cost no longer grows
-  with worker count.  When shared memory is unavailable the frozen
-  graph ships pickled inside the payload (the PR 5 path), and when a
-  pool cannot be used at all the sweep runs sequentially in-process.
-* **Work-stealing scheduler.**  Tasks are chunked into valuation-group
-  batches and dealt round-robin onto per-worker deques; a worker pops
-  from the front of its own deque and, when empty, steals from the back
-  of a victim's.  Scheduling is dynamic, but the *decision* is not:
-  a group's verdict is decided by the lowest-order violated task, so
-  any schedule -- any worker count, any steal pattern -- returns the
-  same verdict, the same decisive valuation, and the same
-  counterexample lasso as the sequential sweep.
-* **Shard plane.**  ``shard=(i, N)`` restricts the sweep to the i-th
-  residue class of the task order (``order % N == i``) while keeping
-  global order numbers, so independent machines can each run one shard
-  and a later ``repro merge-shards`` reassembles the global verdict by
-  the same lowest-order-wins rule (:mod:`repro.verifier.shards`).
+* **In-process (``workers <= 1``).**  Tasks run in global order.  The
+  exploration of a context is lazy for its first valuation (which may
+  decide the verdict without the full graph) and frozen into CSR form
+  from the second on, so later valuations are pure graph walks.
+* **Pool (``workers > 1``).**  The driver expands a single-context
+  graph once, pickles the payload (graph included) once, and hands it
+  to every worker of a :class:`concurrent.futures.ProcessPoolExecutor`
+  through the executor's initializer.  :func:`plan_batches` chunks the
+  grid into batches that never span a ``(group, ctx)`` cell; they are
+  submitted in global order.  A broken pool falls back to the
+  in-process run, which reuses the driver's graph.
+* **Lowest order wins.**  A group's verdict is decided by its
+  lowest-order violated task, so any worker count and any schedule give
+  the same verdict, decisive valuation, counterexample lasso and
+  headline counters as the in-process run.  Workers publish violated
+  orders in a shared cancel array, polled from inside the emptiness
+  search (:class:`~repro.verifier.search.SearchCancelled`); only tasks
+  *later* in the order are cancelled.
+* **Shards.**  ``shard=(i, N)`` restricts the grid to the i-th residue
+  class of the task order (``order % N == i``) while keeping global
+  order numbers, so independent machines can each run one shard and
+  ``repro merge-shards`` reassembles the global verdict by the same
+  lowest-order-wins rule (:mod:`repro.verifier.shards`).
+* **Stats.**  Every task reports wall time and node counts; only tasks
+  at or before the decisive order count toward the headline
+  :class:`VerifierStats`.  Observability deltas (phase seconds, rule
+  cache, counters) are taken once per batch, never per valuation.
 
-* **Early cancellation.**  As soon as any worker finds an accepting
-  lasso it publishes the violated order in a shared array; workers poll
-  it from inside the emptiness search (:class:`~repro.verifier.search.
-  SearchCancelled`) and abandon in-flight tasks that can no longer
-  affect the verdict (only tasks *later* in the order are cancelled --
-  earlier ones must still complete to keep the decision deterministic).
-* **Per-task stats.**  Every task reports wall time, node counts, and
-  observability deltas; the driver aggregates them into
-  :class:`VerifierStats`.  Only tasks at or before the decisive order
-  contribute to the headline counters, so ``product_nodes_visited``
-  matches the sequential sweep exactly.
-
-All cross-process serialization (payload, batch plan, result messages)
-uses ``pickle.HIGHEST_PROTOCOL`` explicitly -- the multiprocessing
-default is protocol 4, which measurably inflates worker seeding cost
-on snapshot-heavy payloads.
+Cross-process serialization uses ``pickle.HIGHEST_PROTOCOL`` explicitly
+-- the multiprocessing default is protocol 4, which measurably inflates
+worker seeding cost on snapshot-heavy payloads.
 """
 
 from __future__ import annotations
@@ -52,11 +47,14 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
-import queue as queue_mod
 import time
+from concurrent.futures import (
+    FIRST_COMPLETED, ProcessPoolExecutor, wait,
+)
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Sequence
 
 from ..fo.instance import Instance
 from ..fo.terms import Value, Var, value_sort_key
@@ -64,12 +62,12 @@ from ..ltl.formulas import land, latom, lfinally, lglobally, lnot
 from ..ltl.translate import ltl_to_buchi
 from ..ltlfo.formulas import LTLFOSentence
 from ..obs import (
-    NULL_PROGRESS, PHASE_SWEEP, REGISTRY, counter, counters_snapshot,
-    diff_numeric,
-    gauge, instant, merge_counters, merge_numeric, phase, phase_counts,
-    phase_seconds, reset_for_worker, sweep_progress,
+    NULL_PROGRESS, PHASE_SWEEP, counter, counters_snapshot, diff_numeric,
+    gauge, instant, merge_counters, phase, phase_counts, phase_seconds,
+    reset_for_worker, sweep_progress,
 )
 from ..obs import ledger
+from ..obs.live import DEFAULT_INTERVAL
 from ..runtime.run import Lasso
 from ..runtime.step import (
     clear_rule_cache, rule_cache_delta, rule_cache_info,
@@ -78,52 +76,36 @@ from ..spec.channels import ChannelSemantics
 from ..spec.composition import Composition
 from .atoms import InternedSnapshotEvaluator, OccursAtom, SnapshotEvaluator
 from .domain import VerificationDomain
-from .graph import (
-    ExploredGraph, InternedProduct, SharedExploration, resolve_engine,
-)
+from .graph import ExploredGraph, InternedProduct, SharedExploration
 from .product import ProductSystem, SearchBudget, TransitionCache
 from .result import (
     Counterexample, TaskStats, VerificationResult, VerifierStats,
 )
 from .search import SearchCancelled, find_accepting_lasso
-from .shm import GraphSegment, ShmGraphHandle, attach_graph, shm_available
 
 #: Sentinel order meaning "no violation found yet" in the cancel array.
 _UNDECIDED = 2 ** 62
 
-#: Target number of steal batches dealt per worker.  Small enough that
-#: a batch amortizes per-task queue traffic, large enough that an
-#: unlucky initial deal leaves real work to steal.
-STEAL_BATCHES_PER_WORKER = 4
-
-#: Seconds the driver waits on the result queue before re-checking
-#: worker liveness (a killed worker never sends anything).
-_POLL_SECONDS = 0.2
+#: Target number of batches per pool worker: coarse enough to amortize
+#: per-batch traffic, fine enough to balance a skewed grid.
+BATCHES_PER_WORKER = 4
 
 
 # ---------------------------------------------------------------------------
 # worker-count resolution
 
 
-def default_workers() -> int:
-    """The worker count implied by ``REPRO_WORKERS`` (default: 1).
-
-    ``REPRO_WORKERS=0`` (or any non-positive value) means "all cores".
-    """
-    raw = os.environ.get("REPRO_WORKERS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    if n <= 0:
-        return os.cpu_count() or 1
-    return n
-
-
 def resolve_workers(workers: int | None) -> int:
-    """Normalize a ``workers=`` argument (None -> env default, <=0 -> all)."""
+    """Normalize a ``workers=`` argument.
+
+    ``None`` reads ``REPRO_WORKERS`` (default: 1); a non-positive count
+    from either source means "all cores".
+    """
     if workers is None:
-        return default_workers()
+        try:
+            workers = int(os.environ.get("REPRO_WORKERS", ""))
+        except ValueError:
+            return 1
     if workers <= 0:
         return os.cpu_count() or 1
     return workers
@@ -175,14 +157,9 @@ class SweepContext:
 class SweepPayload:
     """Everything a worker needs, shipped once per worker.
 
-    Exactly one of ``graph_handle`` / ``frozen_graph`` is set when the
-    driver pre-expanded the reachable graph: ``graph_handle`` names a
-    shared-memory segment workers attach to (zero-copy), while
-    ``frozen_graph`` embeds the pickled graph in the payload itself
-    (the fallback when shared memory is unavailable).  The driver-side
-    copy of a prepared payload keeps ``frozen_graph`` populated even on
-    the shm path so the sequential fallback never re-expands;
-    :func:`payload_to_bytes` strips it from what workers receive.
+    ``frozen_graph`` is set only when the driver pre-expanded the
+    reachable graph of a single-context grid for a pool; it serves
+    context 0 in the workers and in the post-crash in-process rerun.
     """
 
     composition: Composition
@@ -196,59 +173,23 @@ class SweepPayload:
     budget: SearchBudget | None = None
     #: "shared" (interned exploration, frozen-graph reuse) or "seed".
     engine: str = "shared"
-    #: Pre-expanded reachable graph (pickle-fallback shipping path).
+    #: Pre-expanded reachable graph of context 0 (pool sweeps only).
     frozen_graph: ExploredGraph | None = None
-    #: Shared-memory descriptor of the pre-expanded graph (zero-copy).
-    graph_handle: ShmGraphHandle | None = None
 
 
 @dataclass(frozen=True)
 class SweepTask:
     """One cell of the (valuation, database) grid.
 
-    ``group`` selects the result slot (one per property in
-    ``verify_all``); ``order`` is the task's position in the sequential
-    sweep of its group -- the determinism anchor.
-    """
-
-    group: int
-    order: int
-    ctx: int
-    sentence: int
-    valuation: tuple[tuple[Var, Value], ...]
-
-
-@dataclass(frozen=True)
-class TaskOutcome:
-    """What a worker reports back for one task.
-
-    Besides the verdict-relevant lasso and node counters, each outcome
-    carries the observability deltas accrued while executing the task
-    in its worker process: exclusive per-phase seconds/entry counts
-    (:mod:`repro.obs.phases`) and rule-cache counter movement
-    (:func:`repro.runtime.step.rule_cache_delta`).  These would
-    otherwise die with the pool worker; the driver merges them into
-    :class:`~repro.verifier.result.VerifierStats` so ``--stats`` and
-    ``repro profile`` report true totals under ``--workers > 1``.
+    ``group`` indexes the payload's sentences (one result per property
+    in ``verify_all``); ``order`` is the task's position in the sweep of
+    its group -- the determinism anchor.
     """
 
     group: int
     order: int
     ctx: int
     valuation: tuple[tuple[Var, Value], ...]
-    cancelled: bool
-    lasso_prefix: tuple | None
-    lasso_cycle: tuple | None
-    nba_states: int
-    blue_visited: int
-    red_visited: int
-    states_expanded: int
-    wall_seconds: float
-    worker: str = ""
-    phase_seconds: dict = field(default_factory=dict)
-    phase_counts: dict = field(default_factory=dict)
-    rule_cache: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
 
 
 def freeze_valuation(valuation: Mapping[Var, Value]
@@ -257,8 +198,27 @@ def freeze_valuation(valuation: Mapping[Var, Value]
     return tuple(sorted(valuation.items(), key=lambda kv: kv[0].name))
 
 
+def grid_tasks(cells: Iterable[tuple[int, int, Sequence[Mapping[Var, Value]]]],
+               shard: tuple[int, int] | None = None) -> list[SweepTask]:
+    """The task grid of ``(group, ctx, valuations)`` cells, in sweep order.
+
+    Orders count per group across its cells (a property swept over
+    several database contexts is one order), and *shard* keeps this
+    shard's residue class of them.
+    """
+    next_order: dict[int, itertools.count] = {}
+    tasks = [
+        SweepTask(group=group,
+                  order=next(next_order.setdefault(group, itertools.count())),
+                  ctx=ctx, valuation=freeze_valuation(valuation))
+        for group, ctx, valuations in cells
+        for valuation in valuations
+    ]
+    return shard_filter(tasks, shard)
+
+
 # ---------------------------------------------------------------------------
-# one grid cell (shared by the sequential and parallel sweeps)
+# one grid cell
 
 
 @dataclass(frozen=True)
@@ -274,6 +234,43 @@ class ValuationOutcome:
     @property
     def violated(self) -> bool:
         return self.lasso_cycle is not None
+
+
+#: The (empty) result of a task cancelled before or during its search.
+_NO_RESULT = ValuationOutcome(None, None, 0, 0, 0)
+
+
+@dataclass(frozen=True)
+class TaskOutcome:
+    """What running one task produced."""
+
+    task: SweepTask
+    result: ValuationOutcome
+    cancelled: bool = False
+    states_expanded: int = 0
+    wall_seconds: float = 0.0
+
+
+@dataclass(frozen=True)
+class BatchOutcome:
+    """A batch's task outcomes plus the registry movement it caused.
+
+    The observability deltas -- exclusive per-phase seconds/entry
+    counts (:mod:`repro.obs.phases`), rule-cache counter movement
+    (:func:`repro.runtime.step.rule_cache_delta`) and registry counters
+    -- would otherwise die with a pool worker; the driver merges them
+    into :class:`~repro.verifier.result.VerifierStats` so ``--stats``
+    and ``repro profile`` report true totals at any worker count.
+    ``worker`` is empty for batches run in the driver.
+    """
+
+    group: int
+    tasks: tuple[TaskOutcome, ...]
+    phase_seconds: dict
+    phase_counts: dict
+    rule_cache: dict
+    counters: dict
+    worker: str = ""
 
 
 def fairness_terms(composition: Composition) -> list:
@@ -297,8 +294,7 @@ def check_one_valuation(composition: Composition,
                         ) -> ValuationOutcome:
     """Translate + search one valuation of the closure variables.
 
-    The per-valuation unit of work of :func:`repro.verifier.verify`:
-    instantiate the sentence, negate, conjoin the ``Dom(rho)``
+    Instantiate the sentence, negate, conjoin the ``Dom(rho)``
     ``F occurs(v)`` restrictions (and fairness terms if requested),
     translate to a Büchi automaton, and search the on-the-fly product
     for an accepting lasso.
@@ -350,51 +346,7 @@ def check_one_valuation(composition: Composition,
 
 
 # ---------------------------------------------------------------------------
-# payload serialization
-
-
-def payload_to_bytes(payload: SweepPayload, workers: int = 1) -> bytes:
-    """Pickle the worker payload (``HIGHEST_PROTOCOL``, graph-aware).
-
-    On the zero-copy path the embedded ``frozen_graph`` is stripped --
-    workers attach via ``graph_handle`` instead -- and
-    ``graph.shm_bytes_shipped`` stays untouched (0 graph bytes cross
-    the process boundary).  On the fallback path the counter records
-    the graph bytes each of the *workers* workers will deserialize.
-    """
-    shipped = payload
-    if payload.graph_handle is not None and payload.frozen_graph is not None:
-        shipped = replace(payload, frozen_graph=None)
-    data = pickle.dumps(shipped, protocol=pickle.HIGHEST_PROTOCOL)
-    if shipped.frozen_graph is not None and workers > 1:
-        without_graph = pickle.dumps(
-            replace(shipped, frozen_graph=None),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        counter("graph.shm_bytes_shipped").inc(
-            max(0, len(data) - len(without_graph)) * workers
-        )
-    gauge("sweep.payload_bytes").set(len(data))
-    return data
-
-
-# ---------------------------------------------------------------------------
-# worker side
-
-_WORKER: dict = {}
-
-
-def _init_worker(payload_bytes: bytes, cancel,
-                 bootstrap: dict | None = None) -> None:
-    clear_rule_cache()
-    reset_for_worker()
-    # join the driver's run ledger (and, under spawn, re-attach the
-    # trace sink) so this worker's spans carry run/worker/shard stamps
-    # and land in the same stitched trace as the driver's
-    ledger.adopt_worker(bootstrap)
-    _WORKER["payload"] = pickle.loads(payload_bytes)
-    _WORKER["cancel"] = cancel
-    _WORKER["caches"] = {}
+# running tasks (the same code in the driver and in pool workers)
 
 
 def _context_transition_cache(payload: SweepPayload,
@@ -410,303 +362,199 @@ def _context_transition_cache(payload: SweepPayload,
     )
 
 
-def _context_cache(payload: SweepPayload, ctx_idx: int, caches: dict
-                   ) -> tuple[TransitionCache | None,
-                              SharedExploration | None]:
-    """The ``(transition cache, shared engine)`` pair for one context.
+def _exploration(payload: SweepPayload, ctx_idx: int, contexts: dict
+                 ) -> tuple[TransitionCache | None,
+                            SharedExploration | None]:
+    """The ``(transition cache, shared engine)`` serving one context.
 
-    Priority for context 0 of a prepared payload: attach the
-    shared-memory graph (zero-copy), else serve the embedded frozen
-    graph (the executor never expands anything either way).  Otherwise
-    a private cache is built, wrapped in a :class:`SharedExploration`
-    under the shared engine; the second task that lands on the same
-    context freezes the engine, so batched valuations walk the CSR
-    graph instead of re-querying the cache.
+    A pre-expanded graph serves context 0 directly.  Otherwise the
+    first task on a context explores lazily -- it may decide the verdict
+    without the full graph -- and the second freezes the shared
+    exploration (once; a budget overrun leaves it lazy), so later
+    valuations are pure graph walks.  Only one context is kept per
+    process: contexts partition the state space, so an old one cannot
+    be reused and only pins memory.
     """
-    entry = caches.get(ctx_idx)
-    if entry is not None:
-        cache, engine = entry
-        if engine is not None and engine.frozen is None:
-            engine.complete(strict=False)
-        return entry
-    # keep at most one context's exploration in memory per worker:
-    # contexts partition the state space, so old entries cannot be
-    # reused and only pin memory
-    caches.clear()
-    if payload.graph_handle is not None and ctx_idx == 0:
-        graph, segment = attach_graph(payload.graph_handle)
-        engine = SharedExploration.from_graph(graph, payload.composition)
-        # the mapping must outlive the graph's memoryview casts
-        engine.shm_mapping = segment
-        entry = (None, engine)
-    elif payload.frozen_graph is not None and ctx_idx == 0:
-        entry = (None, SharedExploration.from_graph(
-            payload.frozen_graph, payload.composition
-        ))
-    else:
-        cache = _context_transition_cache(payload, ctx_idx)
-        engine = (SharedExploration(cache)
-                  if payload.engine == "shared" else None)
-        entry = (cache, engine)
-    caches[ctx_idx] = entry
-    return entry
+    entry = contexts.get(ctx_idx)
+    if entry is None:
+        contexts.clear()
+        if payload.frozen_graph is not None and ctx_idx == 0:
+            entry = [None, SharedExploration.from_graph(
+                payload.frozen_graph, payload.composition), 0]
+        else:
+            cache = _context_transition_cache(payload, ctx_idx)
+            engine = (SharedExploration(cache)
+                      if payload.engine == "shared" else None)
+            entry = [cache, engine, 0]
+        contexts[ctx_idx] = entry
+    cache, engine, uses = entry
+    if uses == 1 and engine is not None:
+        engine.complete(strict=False)
+    entry[2] = uses + 1
+    return cache, engine
 
 
-def _worker_id() -> str:
-    return f"pid-{os.getpid()}"
+def _lower_cutoff(cancel, group: int, order: int) -> None:
+    """Publish a violated *order* for *group* (lowest order wins)."""
+    lock = cancel.get_lock() if hasattr(cancel, "get_lock") else nullcontext()
+    with lock:
+        if order < cancel[group]:
+            cancel[group] = order
 
 
-def _execute_task(payload: SweepPayload, task: SweepTask,
-                  cache: TransitionCache | None,
-                  engine: SharedExploration | None,
-                  should_stop) -> TaskOutcome:
-    cache_before = rule_cache_info()
-    seconds_before = phase_seconds()
-    counts_before = phase_counts()
-    counters_before = counters_snapshot()
+def _run_task(payload: SweepPayload, task: SweepTask, cancel,
+              contexts: dict) -> TaskOutcome:
+    def should_stop() -> bool:
+        return cancel[task.group] < task.order
+
+    if should_stop():
+        return TaskOutcome(task, _NO_RESULT, cancelled=True)
+    cache, engine = _exploration(payload, task.ctx, contexts)
     t0 = time.perf_counter()
     try:
-        outcome = check_one_valuation(
-            payload.composition, payload.sentences[task.sentence],
+        result = check_one_valuation(
+            payload.composition, payload.sentences[task.group],
             dict(task.valuation), payload.contexts[task.ctx].domain,
             cache, fair_scheduling=payload.fair_scheduling,
             should_stop=should_stop, engine=engine,
         )
     except SearchCancelled:
-        outcome = None
+        result = None
     wall = time.perf_counter() - t0
-    obs_fields = dict(
-        worker=_worker_id(),
-        phase_seconds=diff_numeric(phase_seconds(), seconds_before),
-        phase_counts=diff_numeric(phase_counts(), counts_before),
-        rule_cache=rule_cache_delta(cache_before),
-        counters=diff_numeric(counters_snapshot(), counters_before),
-    )
     instant("task-done", group=task.group, order=task.order,
-            cancelled=outcome is None, wall_seconds=wall)
+            cancelled=result is None, wall_seconds=wall)
+    if result is None:
+        return TaskOutcome(task, _NO_RESULT, cancelled=True,
+                           wall_seconds=wall)
+    if result.violated:
+        _lower_cutoff(cancel, task.group, task.order)
     expanded = (engine.states_expanded if engine is not None
                 else cache.states_expanded)
-    if outcome is None:
-        return TaskOutcome(
-            group=task.group, order=task.order, ctx=task.ctx,
-            valuation=task.valuation, cancelled=True,
-            lasso_prefix=None, lasso_cycle=None, nba_states=0,
-            blue_visited=0, red_visited=0, states_expanded=0,
-            wall_seconds=wall, **obs_fields,
-        )
-    return TaskOutcome(
-        group=task.group, order=task.order, ctx=task.ctx,
-        valuation=task.valuation, cancelled=False,
-        lasso_prefix=outcome.lasso_prefix, lasso_cycle=outcome.lasso_cycle,
-        nba_states=outcome.nba_states, blue_visited=outcome.blue_visited,
-        red_visited=outcome.red_visited,
-        states_expanded=expanded,
-        wall_seconds=wall, **obs_fields,
+    return TaskOutcome(task, result, states_expanded=expanded,
+                       wall_seconds=wall)
+
+
+class _ObsWindow:
+    """Registry movement since the window opened or was last taken."""
+
+    def __init__(self) -> None:
+        self._mark = self._now()
+
+    @staticmethod
+    def _now() -> tuple:
+        return (phase_seconds(), phase_counts(), rule_cache_info(),
+                counters_snapshot())
+
+    def take(self) -> dict:
+        seconds, counts, rule, counters = self._mark
+        delta = {
+            "phase_seconds": diff_numeric(phase_seconds(), seconds),
+            "phase_counts": diff_numeric(phase_counts(), counts),
+            "rule_cache": rule_cache_delta(rule),
+            "counters": diff_numeric(counters_snapshot(), counters),
+        }
+        self._mark = self._now()
+        return delta
+
+
+def _advance(progress, outcome: TaskOutcome) -> None:
+    result = outcome.result
+    progress.advance(
+        1, violated=int(result.violated),
+        cancelled=int(outcome.cancelled),
+        product_nodes=result.blue_visited + result.red_visited,
     )
 
 
-def _run_one_task(payload: SweepPayload, task: SweepTask, cancel,
-                  caches: dict) -> TaskOutcome:
-    """Execute one task against the shared cancel array (worker side)."""
-
-    def should_stop() -> bool:
-        return cancel is not None and cancel[task.group] < task.order
-
-    # test hook: die exactly where a real crash would hurt most --
-    # mid-sweep, after claiming work (crash-robustness suite)
-    kill_order = os.environ.get("REPRO_TEST_KILL_TASK", "")
-    if kill_order and int(kill_order) == task.order:
-        os._exit(17)
-
-    if should_stop():
-        return _cancelled_outcome(task)
-    cache, engine = _context_cache(payload, task.ctx, caches)
-    outcome = _execute_task(payload, task, cache, engine, should_stop)
-    if outcome.lasso_cycle is not None and cancel is not None:
-        with cancel.get_lock():
-            if task.order < cancel[task.group]:
-                cancel[task.group] = task.order
-    return outcome
-
-
-def _cancelled_outcome(task: SweepTask) -> TaskOutcome:
-    return TaskOutcome(
-        group=task.group, order=task.order, ctx=task.ctx,
-        valuation=task.valuation, cancelled=True,
-        lasso_prefix=None, lasso_cycle=None, nba_states=0,
-        blue_visited=0, red_visited=0, states_expanded=0,
-        wall_seconds=0.0, worker=_worker_id(),
-    )
+def _run_batch(payload: SweepPayload, batch: Sequence[SweepTask], cancel,
+               contexts: dict, window: _ObsWindow, worker: str = "",
+               progress=NULL_PROGRESS) -> BatchOutcome:
+    outcomes = []
+    for task in batch:
+        outcome = _run_task(payload, task, cancel, contexts)
+        outcomes.append(outcome)
+        _advance(progress, outcome)
+    return BatchOutcome(group=batch[0].group, tasks=tuple(outcomes),
+                        worker=worker, **window.take())
 
 
 # ---------------------------------------------------------------------------
-# work-stealing scheduler
+# pool workers
+
+_WORKER: dict = {}
 
 
-def plan_batches(ordered: Sequence[SweepTask],
-                 workers: int,
-                 cost_hints: dict[tuple[int, int], float] | None = None,
-                 ) -> list[tuple[SweepTask, ...]]:
-    """Chunk the ordered task grid into steal units.
-
-    Batches never span a (group, ctx) boundary -- a batch is a
-    contiguous run of valuations of one property over one database
-    context, so executing it reuses one exploration and its letter
-    caches.  The chunk size targets ``STEAL_BATCHES_PER_WORKER``
-    batches per worker: coarse enough to amortize queue traffic, fine
-    enough that stealing can rebalance a skewed grid.
-
-    *cost_hints* (from :func:`repro.analysis.cost.sweep_cost_hints`)
-    optionally weight the size per ``(group, ctx)`` cell: cells with
-    above-mean static cost get proportionally smaller batches (finer
-    stealing where tasks run long), cheaper cells bigger ones.  Hints
-    only rescale the deterministic base size -- batch boundaries remain
-    a pure function of the ordered grid, so results stay bit-for-bit
-    identical with and without hints.
-    """
-    if not ordered:
-        return []
-    size = max(1, -(-len(ordered) // (workers * STEAL_BATCHES_PER_WORKER)))
-    sizes: dict[tuple[int, int], int] = {}
-    if cost_hints:
-        weights = {k: w for k, w in cost_hints.items() if w > 0}
-        if weights:
-            mean = sum(weights.values()) / len(weights)
-            for key, weight in weights.items():
-                sizes[key] = max(1, min(
-                    len(ordered), round(size * mean / weight)))
-    batches: list[tuple[SweepTask, ...]] = []
-    run: list[SweepTask] = []
-    run_key = None
-    for task in ordered:
-        key = (task.group, task.ctx)
-        if run and (key != run_key or len(run) >= sizes.get(key, size)):
-            batches.append(tuple(run))
-            run = []
-        run_key = key
-        run.append(task)
-    if run:
-        batches.append(tuple(run))
-    return batches
+def _init_worker(payload_bytes: bytes, cancel, next_index,
+                 bootstrap: dict) -> None:
+    clear_rule_cache()
+    reset_for_worker()
+    with next_index.get_lock():
+        index = next_index.value
+        next_index.value += 1
+    # join the driver's run ledger (and, under spawn, re-attach the
+    # trace sink) so this worker's spans carry run/worker/shard stamps
+    # and land in the same stitched trace as the driver's
+    ledger.adopt_worker(dict(bootstrap, worker=index))
+    # the first batch's window also covers this set-up (payload and
+    # graph unpickling), so nothing a worker does goes unreported
+    _WORKER.update(window=_ObsWindow(), cancel=cancel, contexts={},
+                   worker=f"pid-{os.getpid()}")
+    _WORKER["payload"] = pickle.loads(payload_bytes)
+    instant("worker-start", worker=index)
 
 
-def _claim_batch(worker_idx: int, n_workers: int, cap: int,
-                 slots, heads, tails, locks) -> tuple[int, bool] | None:
-    """Pop the next batch id: own deque front, else steal a victim's back.
-
-    Returns ``(batch_id, stolen)`` or None when every deque is empty
-    (all batches are claimed; in-flight ones belong to their claimers).
-    Owners consume from the front -- lowest global order first, which
-    reaches decisive violations sooner -- while thieves take from the
-    back, the tasks the owner would reach last.
-    """
-    with locks[worker_idx]:
-        if heads[worker_idx] < tails[worker_idx]:
-            batch = slots[worker_idx * cap + heads[worker_idx]]
-            heads[worker_idx] += 1
-            return int(batch), False
-    for offset in range(1, n_workers):
-        victim = (worker_idx + offset) % n_workers
-        with locks[victim]:
-            if heads[victim] < tails[victim]:
-                tails[victim] -= 1
-                return int(slots[victim * cap + tails[victim]]), True
-    return None
-
-
-def _put(results, message) -> None:
-    """Ship one result message (explicitly protocol-5 pickled)."""
-    results.put(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def _worker_main(worker_idx: int, n_workers: int, cap: int,
-                 payload_bytes: bytes, batches_bytes: bytes,
-                 cancel, slots, heads, tails, locks, results,
-                 bootstrap: dict | None = None) -> None:
-    """Pool worker: claim batches (own deque, then steals) until dry.
-
-    Ships one ``("outcome", ...)`` message per task and a final
-    ``("done", ...)`` message carrying the observability residual --
-    registry movement not attributable to any task window (payload
-    deserialization, graph attach, steal bookkeeping) -- so driver-side
-    metrics stay truthful under any schedule.
-    """
-    try:
-        _init_worker(payload_bytes, cancel, bootstrap)
-        instant("worker-start", n_workers=n_workers)
-        payload: SweepPayload = _WORKER["payload"]
-        caches: dict = _WORKER["caches"]
-        batches: list[tuple[SweepTask, ...]] = pickle.loads(batches_bytes)
-        steals = counter("sweep.steals")
-        stolen_tasks = counter("sweep.tasks_stolen")
-        executed = counter("sweep.tasks_executed")
-        shipped_counters: dict = {}
-        shipped_seconds: dict = {}
-        shipped_counts: dict = {}
-        while True:
-            claim = _claim_batch(worker_idx, n_workers, cap, slots,
-                                 heads, tails, locks)
-            if claim is None:
-                break
-            batch_id, stolen = claim
-            batch = batches[batch_id]
-            if stolen:
-                steals.inc()
-                stolen_tasks.inc(len(batch))
-            for task in batch:
-                outcome = _run_one_task(payload, task, cancel, caches)
-                executed.inc()
-                merge_numeric(shipped_counters, outcome.counters)
-                merge_numeric(shipped_seconds, outcome.phase_seconds)
-                merge_numeric(shipped_counts, outcome.phase_counts)
-                _put(results, ("outcome", outcome))
-        residual = {
-            "counters": diff_numeric(counters_snapshot(), shipped_counters),
-            "phase_seconds": diff_numeric(phase_seconds(), shipped_seconds),
-            "phase_counts": diff_numeric(phase_counts(), shipped_counts),
-        }
-        instant("worker-done")
-        _put(results, ("done", worker_idx, residual))
-    except BaseException as exc:  # ship the failure, then die loudly
-        try:
-            try:
-                _put(results, ("error", worker_idx, exc))
-            except Exception:
-                _put(results, ("error", worker_idx,
-                               RuntimeError(f"{type(exc).__name__}: {exc}")))
-        except Exception:  # pragma: no cover - queue already broken
-            pass
-        raise
+def _worker_batch(batch: Sequence[SweepTask]) -> BatchOutcome:
+    # test hook: die mid-sweep, after claiming work, where a real crash
+    # would hurt most (crash-robustness suite)
+    kill_order = os.environ.get("REPRO_TEST_KILL_TASK", "")
+    if kill_order and any(t.order == int(kill_order) for t in batch):
+        os._exit(17)
+    return _run_batch(_WORKER["payload"], batch, _WORKER["cancel"],
+                      _WORKER["contexts"], _WORKER["window"],
+                      _WORKER["worker"])
 
 
 # ---------------------------------------------------------------------------
 # driver
 
 
-def _run_sweep_sequential(payload: SweepPayload,
-                          tasks: Sequence[SweepTask],
-                          progress=NULL_PROGRESS) -> list[TaskOutcome]:
-    """In-process reference sweep: deterministic order, per-group early stop."""
-    outcomes: list[TaskOutcome] = []
-    caches: dict = {}
-    decided: dict[int, int] = {}
-    for task in sorted(tasks, key=lambda t: (t.group, t.order)):
-        if decided.get(task.group, _UNDECIDED) < task.order:
-            outcomes.append(_cancelled_outcome(task))
-            progress.advance(1, cancelled=1)
-            continue
-        cache, engine = _context_cache(payload, task.ctx, caches)
-        outcome = _execute_task(payload, task, cache, engine, None)
-        outcomes.append(outcome)
-        progress.advance(
-            1, violated=int(outcome.lasso_cycle is not None),
-            product_nodes=outcome.blue_visited + outcome.red_visited,
+def plan_batches(ordered: Sequence[SweepTask],
+                 workers: int) -> list[tuple[SweepTask, ...]]:
+    """Chunk the ordered task grid into pool batches.
+
+    Batches never span a (group, ctx) boundary -- a batch is a
+    contiguous run of valuations of one property over one database
+    context, so executing it reuses one exploration and its letter
+    caches.  The chunk size targets ``BATCHES_PER_WORKER`` batches per
+    worker.  Boundaries are a pure function of the ordered grid.
+    """
+    size = max(1, -(-len(ordered) // (workers * BATCHES_PER_WORKER)))
+    return [cell[i:i + size] for cell in _cells(ordered)
+            for i in range(0, len(cell), size)]
+
+
+def _cells(ordered: Sequence[SweepTask]) -> list[tuple[SweepTask, ...]]:
+    """The contiguous runs of one (group, ctx) cell of the ordered grid."""
+    return [tuple(cell) for _key, cell in itertools.groupby(
+        ordered, key=lambda t: (t.group, t.ctx))]
+
+
+def payload_to_bytes(payload: SweepPayload, workers: int = 1) -> bytes:
+    """Pickle the worker payload at ``HIGHEST_PROTOCOL``.
+
+    When the payload carries a pre-expanded graph, the
+    ``graph.shm_bytes_shipped`` counter records the graph bytes that
+    each of the *workers* workers will deserialize.
+    """
+    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    if payload.frozen_graph is not None and workers > 1:
+        without_graph = pickle.dumps(replace(payload, frozen_graph=None),
+                                     protocol=pickle.HIGHEST_PROTOCOL)
+        counter("graph.shm_bytes_shipped").inc(
+            max(0, len(data) - len(without_graph)) * workers
         )
-        if outcome.lasso_cycle is not None:
-            decided[task.group] = min(
-                decided.get(task.group, _UNDECIDED), task.order
-            )
-    return outcomes
+    gauge("sweep.payload_bytes").set(len(data))
+    return data
 
 
 def _mp_context():
@@ -719,238 +567,195 @@ def _mp_context():
     return multiprocessing.get_context(method)
 
 
-def run_sweep(payload: SweepPayload, tasks: Sequence[SweepTask],
-              workers: int) -> tuple[list[TaskOutcome], bool]:
-    """Execute the task grid; returns ``(outcomes, ran_in_parallel)``.
+def _pre_expand(payload: SweepPayload) -> SweepPayload:
+    """Expand a single-context shared payload's graph in the driver.
 
-    Falls back to the sequential in-process sweep when parallelism
-    cannot help (``workers<=1``, fewer than two tasks) or cannot be used
-    safely (payload fails to pickle, worker pool breaks).  A payload
-    prepared for shared memory keeps its driver-side ``frozen_graph``,
-    so even the post-crash sequential rerun never re-expands the state
-    space.
+    The reachable snapshot graph is valuation-independent, so a pool
+    expands it once here instead of once per worker.  Multi-context
+    grids (database enumeration) skip this: contexts partition across
+    workers, and each worker explores a context lazily.
     """
+    if payload.engine != "shared" or len(payload.contexts) != 1:
+        return payload
+    engine = SharedExploration(_context_transition_cache(payload, 0))
+    graph = engine.complete(strict=False)
+    if graph is None:
+        return payload
+    return replace(payload, frozen_graph=graph)
+
+
+def _run_in_process(payload: SweepPayload, ordered: Sequence[SweepTask],
+                    progress) -> list[BatchOutcome]:
+    """The reference sweep: global order, one batch per (group, ctx)."""
+    cancel = [_UNDECIDED] * len(payload.sentences)
+    contexts: dict = {}
+    return [
+        _run_batch(payload, cell, cancel, contexts, _ObsWindow(),
+                   progress=progress)
+        for cell in _cells(ordered)
+    ]
+
+
+def _run_pool(payload_bytes: bytes, n_sentences: int,
+              ordered: Sequence[SweepTask], workers: int,
+              progress) -> list[BatchOutcome]:
+    """Run the batches on a process pool; collect them as they finish."""
+    batches = plan_batches(ordered, workers)
+    gauge("sweep.batches").set(len(batches))
+    mp = _mp_context()
+    cancel = mp.Array("q", [_UNDECIDED] * n_sentences)
+    initargs = (payload_bytes, cancel, mp.Value("i", 0),
+                ledger.worker_bootstrap(0))
+    results: list[BatchOutcome] = []
+    with ProcessPoolExecutor(min(workers, len(batches)), mp_context=mp,
+                             initializer=_init_worker,
+                             initargs=initargs) as pool:
+        # submitted in global order, so workers take the lowest orders
+        # first and reach decisive violations early
+        pending = {pool.submit(_worker_batch, batch) for batch in batches}
+        while pending:
+            done, pending = wait(pending, timeout=DEFAULT_INTERVAL,
+                                 return_when=FIRST_COMPLETED)
+            progress.tick()
+            for future in done:
+                batch = future.result()
+                results.append(batch)
+                for outcome in batch.tasks:
+                    _advance(progress, outcome)
+    return results
+
+
+def run_sweep(payload: SweepPayload, tasks: Sequence[SweepTask],
+              workers: int) -> list[VerificationResult]:
+    """Run the task grid; one result per sentence of *payload*.
+
+    A pool starts only when it can help (``workers > 1`` and at least
+    two tasks) and the payload pickles; a pool that breaks (a worker
+    died) falls back to the in-process run, which reuses the driver's
+    pre-expanded graph instead of re-expanding.
+    """
+    t0 = time.perf_counter()
+    ordered = sorted(tasks, key=lambda t: (t.group, t.order))
+    pooled = False
     with phase(PHASE_SWEEP):
-        progress = sweep_progress(len(tasks))
-        progress.set_info(
-            workers=workers,
-            groups=len({t.group for t in tasks}),
-            graph_states=(payload.frozen_graph.num_states
-                          if payload.frozen_graph is not None else None),
-        )
-        instant("sweep-start", tasks=len(tasks), workers=workers)
+        progress = sweep_progress(len(ordered))
+        instant("sweep-start", tasks=len(ordered), workers=workers)
         try:
-            if workers <= 1 or len(tasks) <= 1:
-                return _run_sweep_sequential(payload, tasks,
-                                             progress), False
-            try:
-                payload_bytes = payload_to_bytes(payload, workers)
-            except Exception:
-                return _run_sweep_sequential(payload, tasks,
-                                             progress), False
-            try:
-                return _run_sweep_pool(payload, payload_bytes, tasks,
-                                       workers, progress), True
-            except BrokenProcessPool:
-                counter("sweep.pool_broken").inc()
-                # start the progress story over: the sequential rerun
-                # re-executes the full grid from scratch
-                progress.reset()
-                return _run_sweep_sequential(payload, tasks,
-                                             progress), False
+            driver = _ObsWindow()
+            payload_bytes = None
+            if workers > 1 and len(ordered) > 1:
+                payload = _pre_expand(payload)
+                try:
+                    payload_bytes = payload_to_bytes(payload, workers)
+                except (pickle.PicklingError, TypeError, AttributeError):
+                    pass  # an unpicklable payload runs in-process
+            driver_obs = driver.take()
+            progress.set_info(
+                workers=workers, groups=len(payload.sentences),
+                graph_states=(payload.frozen_graph.num_states
+                              if payload.frozen_graph is not None
+                              else None),
+            )
+            batches = None
+            if payload_bytes is not None:
+                try:
+                    batches = _run_pool(payload_bytes,
+                                        len(payload.sentences), ordered,
+                                        workers, progress)
+                    pooled = True
+                except BrokenProcessPool:
+                    counter("sweep.pool_broken").inc()
+                    # start the progress story over: the in-process
+                    # rerun executes the full grid from scratch
+                    progress.reset()
+            if batches is None:
+                batches = _run_in_process(payload, ordered, progress)
         finally:
             progress.finish()
-            instant("sweep-done", tasks=len(tasks))
-
-
-def _check_liveness(procs, pending: int) -> None:
-    """Raise :class:`BrokenProcessPool` if the pool can no longer finish."""
-    if any(p.exitcode not in (None, 0) for p in procs):
-        dead = [p.exitcode for p in procs if p.exitcode not in (None, 0)]
-        raise BrokenProcessPool(
-            f"sweep worker died with exit code(s) {dead}"
-        )
-    if pending > 0 and all(p.exitcode is not None for p in procs):
-        raise BrokenProcessPool(
-            f"all sweep workers exited with {pending} tasks unaccounted"
-        )
-
-
-def _run_sweep_pool(payload: SweepPayload, payload_bytes: bytes,
-                    tasks: Sequence[SweepTask],
-                    workers: int,
-                    progress=NULL_PROGRESS) -> list[TaskOutcome]:
-    """The work-stealing pool: deal batches, collect outcomes, stay live.
-
-    The driver is purely a collector -- all scheduling decisions happen
-    in the workers via the shared deque arrays, and all cancellation
-    happens via the shared cancel array -- so a hot grid never
-    serializes on the driver loop.
-    """
-    ordered = sorted(tasks, key=lambda t: (t.group, t.order))
-    try:
-        from ..analysis.cost import sweep_cost_hints
-        cost_hints = sweep_cost_hints(payload)
-    except Exception:
-        cost_hints = None  # hints are advisory; never fail the sweep
-    batches = plan_batches(ordered, workers, cost_hints)
-    n_workers = min(workers, len(batches))
-    n_groups = max(t.group for t in ordered) + 1
-    ctx = _mp_context()
-    cancel = ctx.Array("q", [_UNDECIDED] * n_groups)
-    cap = -(-len(batches) // n_workers)
-    slots = ctx.Array("q", [-1] * (n_workers * cap), lock=False)
-    heads = ctx.Array("q", [0] * n_workers, lock=False)
-    tails = ctx.Array("q", [0] * n_workers, lock=False)
-    locks = [ctx.Lock() for _ in range(n_workers)]
-    # round-robin deal: worker w's deque holds batches w, w+N, w+2N...
-    # front-to-back, so owners consume in ascending global order
-    for batch_idx in range(len(batches)):
-        w = batch_idx % n_workers
-        slots[w * cap + tails[w]] = batch_idx
-        tails[w] += 1
-    batches_bytes = pickle.dumps(batches, protocol=pickle.HIGHEST_PROTOCOL)
-    gauge("sweep.batches").set(len(batches))
-    results = ctx.Queue()
-    procs = [
-        ctx.Process(
-            target=_worker_main,
-            args=(w, n_workers, cap, payload_bytes, batches_bytes,
-                  cancel, slots, heads, tails, locks, results,
-                  ledger.worker_bootstrap(w)),
-            daemon=True,
-        )
-        for w in range(n_workers)
+            instant("sweep-done", tasks=len(ordered))
+    wall = time.perf_counter() - t0
+    results = [
+        _result_for_group(group, batches, payload,
+                          workers if pooled else 1, wall)
+        for group in range(len(payload.sentences))
     ]
-    outcomes: list[TaskOutcome] = []
-    pending = len(ordered)
-    try:
-        for proc in procs:
-            proc.start()
-        while pending > 0:
-            try:
-                raw = results.get(timeout=_POLL_SECONDS)
-            except queue_mod.Empty:
-                _check_liveness(procs, pending)
-                progress.tick()
-                continue
-            message = pickle.loads(raw)
-            kind = message[0]
-            if kind == "outcome":
-                outcome = message[1]
-                outcomes.append(outcome)
-                pending -= 1
-                progress.advance(
-                    1,
-                    violated=int(outcome.lasso_cycle is not None),
-                    cancelled=int(outcome.cancelled),
-                    product_nodes=(outcome.blue_visited
-                                   + outcome.red_visited),
-                )
-            elif kind == "done":
-                residual = message[2]
-                merge_counters(residual["counters"])
-                merge_numeric(REGISTRY.phase_seconds,
-                              residual["phase_seconds"])
-                merge_numeric(REGISTRY.phase_counts,
-                              residual["phase_counts"])
-            elif kind == "error":
-                raise message[2]
-        for proc in procs:
-            proc.join(timeout=10.0)
-    finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            proc.join(timeout=5.0)
-        results.close()
-        results.join_thread()
-    return outcomes
+    if results:
+        # the driver's one-off pre-expansion goes to the first group
+        results[0].stats.merge_phases(driver_obs["phase_seconds"],
+                                      driver_obs["phase_counts"])
+        results[0].stats.merge_rule_cache(driver_obs["rule_cache"])
+    return results
 
 
 # ---------------------------------------------------------------------------
 # aggregation
 
 
-def _aggregate_group(group: int, outcomes: Sequence[TaskOutcome],
-                     stats: VerifierStats,
-                     merge_worker_counters: bool = False
-                     ) -> TaskOutcome | None:
-    """Fold one group's outcomes into *stats*; return the decisive task.
+def _result_for_group(group: int, batches: Sequence[BatchOutcome],
+                      payload: SweepPayload, workers: int,
+                      wall_seconds: float) -> VerificationResult:
+    """Fold one group's batches into a result (lowest order wins).
 
     Only tasks at or before the decisive (lowest violated) order count
-    toward the headline stats -- exactly the tasks the sequential sweep
-    would have run -- so ``product_nodes_visited`` matches ``workers=1``.
-    Cancelled/extra tasks still appear in ``per_task`` for profiling.
-
-    The observability deltas (phase seconds, rule-cache counters) are
-    merged from *every* outcome, counted or not: they measure compute
-    that actually happened, including partial work of cancelled tasks,
-    so hit rates and phase breakdowns reflect the true cost of the run.
+    toward the headline stats -- exactly the tasks the in-process sweep
+    runs -- so ``product_nodes_visited`` is the same at any worker
+    count.  Cancelled and extra tasks still appear in ``per_task``.
+    The observability deltas merge from every batch, counted or not:
+    they measure compute that actually happened.
     """
-    mine = sorted(
-        (o for o in outcomes if o.group == group), key=lambda o: o.order
-    )
-    violated = [o for o in mine if not o.cancelled and o.lasso_cycle]
-    decisive = min(violated, key=lambda o: o.order, default=None)
-    cutoff = decisive.order if decisive is not None else _UNDECIDED
-    for outcome in mine:
-        counted = not outcome.cancelled and outcome.order <= cutoff
-        stats.record_task(TaskStats(
-            group=outcome.group, order=outcome.order,
-            wall_seconds=outcome.wall_seconds,
-            nba_states=outcome.nba_states,
-            product_nodes=outcome.blue_visited + outcome.red_visited,
-            system_states=outcome.states_expanded,
-            cancelled=not counted,
-            worker=outcome.worker,
-        ))
-        stats.merge_phases(outcome.phase_seconds, outcome.phase_counts)
-        stats.merge_rule_cache(outcome.rule_cache)
-        if merge_worker_counters:
+    mine = [b for b in batches if b.group == group]
+    rows = sorted(((o, b.worker) for b in mine for o in b.tasks),
+                  key=lambda row: row[0].task.order)
+    decisive = next((o for o, _ in rows if o.result.violated), None)
+    cutoff = decisive.task.order if decisive is not None else _UNDECIDED
+    stats = VerifierStats(workers=workers, wall_seconds=wall_seconds)
+    for batch in mine:
+        stats.merge_phases(batch.phase_seconds, batch.phase_counts)
+        stats.merge_rule_cache(batch.rule_cache)
+        if batch.worker:
             # fold pool-worker registry movement (graph.reuse_hits,
             # fo.index_builds, ...) into the driver's registry so
             # --metrics-json reports fleet-wide totals; in-process
-            # sweeps already incremented this registry directly
-            merge_counters(outcome.counters)
-        if outcome.worker and (outcome.wall_seconds
-                               or outcome.phase_seconds
-                               or outcome.rule_cache):
-            stats.merge_worker(outcome.worker, outcome.wall_seconds,
-                               outcome.phase_seconds, outcome.rule_cache)
+            # batches already moved this registry directly
+            merge_counters(batch.counters)
+            stats.merge_worker(
+                batch.worker, len(batch.tasks),
+                sum(o.wall_seconds for o in batch.tasks),
+                batch.phase_seconds, batch.rule_cache,
+            )
+    for outcome, worker in rows:
+        task, result = outcome.task, outcome.result
+        counted = not outcome.cancelled and task.order <= cutoff
+        stats.record_task(TaskStats(
+            group=task.group, order=task.order,
+            wall_seconds=outcome.wall_seconds,
+            nba_states=result.nba_states,
+            product_nodes=result.blue_visited + result.red_visited,
+            system_states=outcome.states_expanded,
+            cancelled=not counted,
+            worker=worker,
+        ))
         if counted:
             stats.valuations_checked += 1
-            stats.nba_states_total += outcome.nba_states
-            stats.merge_search(outcome.blue_visited, outcome.red_visited)
+            stats.nba_states_total += result.nba_states
+            stats.merge_search(result.blue_visited, result.red_visited)
             stats.system_states = max(stats.system_states,
                                       outcome.states_expanded)
-    return decisive
-
-
-def _result_for_group(group: int, outcomes: Sequence[TaskOutcome],
-                      payload: SweepPayload, sentence: LTLFOSentence,
-                      workers: int, used_parallel: bool,
-                      wall_seconds: float) -> VerificationResult:
-    stats = VerifierStats(workers=workers if used_parallel else 1)
-    decisive = _aggregate_group(group, outcomes, stats,
-                                merge_worker_counters=used_parallel)
-    stats.wall_seconds = wall_seconds
     if payload.frozen_graph is not None:
         # workers served the driver's pre-expanded graph and report 0
         # expansions; the graph size is the true system-state count
         stats.system_states = max(stats.system_states,
                                   payload.frozen_graph.num_states)
+    sentence = payload.sentences[group]
     counterexample = None
     domain = payload.contexts[-1].domain
     if decisive is not None:
-        stats.decisive_order = decisive.order
-        domain = payload.contexts[decisive.ctx].domain
+        task, result = decisive.task, decisive.result
+        stats.decisive_order = task.order
+        domain = payload.contexts[task.ctx].domain
         counterexample = Counterexample(
-            valuation={
-                var.name: value for var, value in decisive.valuation
-            },
-            lasso=Lasso(decisive.lasso_prefix, decisive.lasso_cycle),
+            valuation={var.name: value for var, value in task.valuation},
+            lasso=Lasso(result.lasso_prefix, result.lasso_cycle),
             property_text=str(sentence),
         )
     return VerificationResult(
@@ -960,219 +765,4 @@ def _result_for_group(group: int, outcomes: Sequence[TaskOutcome],
         stats=stats,
         domain_description=domain.describe(),
         semantics_description=payload.semantics.describe(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# entry points used by repro.verifier.ltlfo_verifier
-
-
-def _prepare_payload(payload: SweepPayload, workers: int
-                     ) -> tuple[SweepPayload, GraphSegment | None]:
-    """Pre-expand single-context shared payloads in the driver.
-
-    The reachable snapshot graph is valuation-independent, so the
-    driver expands it exactly once.  With a pool ahead and shared
-    memory available the CSR graph goes into a shared segment (workers
-    attach; zero copies shipped); otherwise it rides along pickled in
-    the payload.  The returned payload always keeps ``frozen_graph``
-    for driver-local use; the segment lease (or None) is the caller's
-    to unlink in a ``finally``.  Multi-context grids (database
-    enumeration) skip all of this: contexts partition across workers,
-    so each worker's lazily shared exploration is built at most once
-    per context anyway.
-    """
-    if payload.engine != "shared" or len(payload.contexts) != 1:
-        return payload, None
-    engine = SharedExploration(_context_transition_cache(payload, 0))
-    graph = engine.complete(strict=False)
-    if graph is None:
-        return payload, None
-    payload = replace(payload, frozen_graph=graph)
-    if workers > 1 and shm_available():
-        try:
-            segment = GraphSegment.create(graph)
-        except Exception:
-            counter("graph.shm_fallbacks").inc()
-            return payload, None
-        return replace(payload, graph_handle=segment.handle), segment
-    return payload, None
-
-
-class _DriverObs:
-    """Capture driver-side phase/rule-cache movement around a sweep.
-
-    With frozen-graph publication the expansion and rule firing happen
-    in the *driver* (during :func:`_prepare_payload`), not in workers;
-    without this capture those seconds would vanish from
-    ``VerifierStats`` under ``--workers > 1``.
-    """
-
-    def __enter__(self) -> "_DriverObs":
-        self._rule_before = rule_cache_info()
-        self._seconds_before = phase_seconds()
-        self._counts_before = phase_counts()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.phase_seconds = diff_numeric(phase_seconds(),
-                                          self._seconds_before)
-        self.phase_counts = diff_numeric(phase_counts(),
-                                         self._counts_before)
-        self.rule_cache = rule_cache_delta(self._rule_before)
-
-    def merge_into(self, stats: VerifierStats) -> None:
-        stats.merge_phases(self.phase_seconds, self.phase_counts)
-        stats.merge_rule_cache(self.rule_cache)
-
-
-def parallel_verify(composition: Composition,
-                    sentence: LTLFOSentence,
-                    databases: Mapping[str, Instance],
-                    semantics: ChannelSemantics,
-                    domain: VerificationDomain,
-                    valuations: Sequence[Mapping[Var, Value]],
-                    workers: int,
-                    budget: SearchBudget | None = None,
-                    include_environment: bool = True,
-                    env_value_domain: Sequence[Value] | None = None,
-                    env_one_action_per_move: bool = True,
-                    fair_scheduling: bool = False,
-                    engine: str = "shared",
-                    shard: tuple[int, int] | None = None
-                    ) -> VerificationResult:
-    """One property, one database set, valuations fanned out."""
-    payload = SweepPayload(
-        composition=composition,
-        contexts=(SweepContext(tuple(sorted(databases.items())), domain),),
-        sentences=(sentence,),
-        semantics=semantics,
-        include_environment=include_environment,
-        env_value_domain=(tuple(env_value_domain)
-                          if env_value_domain is not None else None),
-        env_one_action_per_move=env_one_action_per_move,
-        fair_scheduling=fair_scheduling,
-        budget=budget,
-        engine=resolve_engine(engine),
-    )
-    tasks = shard_filter(
-        [
-            SweepTask(group=0, order=i, ctx=0, sentence=0,
-                      valuation=freeze_valuation(v))
-            for i, v in enumerate(valuations)
-        ],
-        shard,
-    )
-    t0 = time.perf_counter()
-    with _DriverObs() as driver_obs:
-        payload, segment = _prepare_payload(payload, workers)
-    try:
-        outcomes, used_parallel = run_sweep(payload, tasks, workers)
-    finally:
-        if segment is not None:
-            segment.unlink()
-    result = _result_for_group(
-        0, outcomes, payload, sentence, workers, used_parallel,
-        time.perf_counter() - t0,
-    )
-    driver_obs.merge_into(result.stats)
-    return result
-
-
-def parallel_verify_all(composition: Composition,
-                        sentences: Sequence[LTLFOSentence],
-                        databases: Mapping[str, Instance],
-                        semantics: ChannelSemantics,
-                        domain: VerificationDomain,
-                        valuations_per_sentence: Sequence[
-                            Sequence[Mapping[Var, Value]]],
-                        workers: int,
-                        budget: SearchBudget | None = None,
-                        engine: str = "shared",
-                        shard: tuple[int, int] | None = None,
-                        ) -> list[VerificationResult]:
-    """Several properties over one database set, one group per property."""
-    payload = SweepPayload(
-        composition=composition,
-        contexts=(SweepContext(tuple(sorted(databases.items())), domain),),
-        sentences=tuple(sentences),
-        semantics=semantics,
-        budget=budget,
-        engine=resolve_engine(engine),
-    )
-    tasks = shard_filter(
-        [
-            SweepTask(group=s_idx, order=i, ctx=0, sentence=s_idx,
-                      valuation=freeze_valuation(v))
-            for s_idx, valuations in enumerate(valuations_per_sentence)
-            for i, v in enumerate(valuations)
-        ],
-        shard,
-    )
-    t0 = time.perf_counter()
-    with _DriverObs() as driver_obs:
-        payload, segment = _prepare_payload(payload, workers)
-    try:
-        outcomes, used_parallel = run_sweep(payload, tasks, workers)
-    finally:
-        if segment is not None:
-            segment.unlink()
-    wall = time.perf_counter() - t0
-    results = [
-        _result_for_group(s_idx, outcomes, payload, sentence, workers,
-                          used_parallel, wall)
-        for s_idx, sentence in enumerate(sentences)
-    ]
-    if results:
-        # the one-off pre-expansion is attributed to the first group
-        driver_obs.merge_into(results[0].stats)
-    return results
-
-
-def parallel_verify_over_databases(
-        composition: Composition,
-        sentence: LTLFOSentence,
-        database_combos: Sequence[Mapping[str, Instance]],
-        semantics: ChannelSemantics,
-        domains: Sequence[VerificationDomain],
-        valuations_per_combo: Sequence[Sequence[Mapping[Var, Value]]],
-        workers: int,
-        budget: SearchBudget | None = None,
-        engine: str = "shared",
-        shard: tuple[int, int] | None = None) -> VerificationResult:
-    """One property swept over every enumerated database combination.
-
-    The full (database, valuation) grid is one deterministic order: the
-    first violated cell (in combo-major order) decides, matching the
-    sequential enumeration.  Workers share one exploration per context
-    (and freeze it after the first valuation they batch on it); the
-    driver does not pre-expand, since contexts partition the grid.
-    """
-    contexts = tuple(
-        SweepContext(tuple(sorted(dbs.items())), dom)
-        for dbs, dom in zip(database_combos, domains)
-    )
-    payload = SweepPayload(
-        composition=composition,
-        contexts=contexts,
-        sentences=(sentence,),
-        semantics=semantics,
-        budget=budget,
-        engine=resolve_engine(engine),
-    )
-    counter_iter = itertools.count()
-    tasks = shard_filter(
-        [
-            SweepTask(group=0, order=next(counter_iter), ctx=ctx_idx,
-                      sentence=0, valuation=freeze_valuation(v))
-            for ctx_idx, valuations in enumerate(valuations_per_combo)
-            for v in valuations
-        ],
-        shard,
-    )
-    t0 = time.perf_counter()
-    outcomes, used_parallel = run_sweep(payload, tasks, workers)
-    return _result_for_group(
-        0, outcomes, payload, sentence, workers, used_parallel,
-        time.perf_counter() - t0,
     )

@@ -29,19 +29,19 @@ class TaskStats:
 class VerifierStats:
     """Aggregate counters across a whole verification call.
 
-    ``workers``/``tasks_*``/``task_seconds``/``per_task`` are filled by
-    the parallel sweep engine; a sequential run leaves them at their
-    defaults (``workers=1``, no per-task records).  ``task_seconds`` is
-    the *sum* of per-task wall times (total compute), while
-    ``wall_seconds`` is elapsed time -- their ratio is the effective
-    parallelism.  Cancelled tasks' partial compute is kept separately
-    in ``cancelled_task_seconds`` (it is real work spent, but must not
-    inflate the deterministic headline counters).
+    ``tasks_*``/``task_seconds``/``per_task`` are filled by the
+    valuation sweep (:mod:`repro.verifier.parallel`) at any worker
+    count; ``workers`` stays 1 unless a process pool ran the sweep.
+    ``task_seconds`` is the *sum* of per-task wall times (total
+    compute), while ``wall_seconds`` is elapsed time -- their ratio is
+    the effective parallelism.  Cancelled tasks' partial compute is
+    kept separately in ``cancelled_task_seconds`` (it is real work
+    spent, but must not inflate the deterministic headline counters).
 
     ``phase_seconds``/``phase_counts`` hold the per-phase self-time
     breakdown (see :mod:`repro.obs.phases`) and ``rule_cache`` the
     rule-firing memo deltas (hits/misses/evictions), aggregated across
-    worker processes for parallel runs; ``per_worker`` breaks both down
+    worker processes for pooled runs; ``per_worker`` breaks both down
     by worker id for the ``repro profile`` per-worker rows.
     """
 
@@ -91,7 +91,7 @@ class VerifierStats:
         for key, value in delta.items():
             self.rule_cache[key] = self.rule_cache.get(key, 0) + value
 
-    def merge_worker(self, worker: str, wall_seconds: float,
+    def merge_worker(self, worker: str, tasks: int, wall_seconds: float,
                      phase_seconds: Mapping[str, float],
                      rule_cache: Mapping[str, int]) -> None:
         slot = self.per_worker.get(worker)
@@ -100,7 +100,7 @@ class VerifierStats:
                 "tasks": 0, "task_seconds": 0.0,
                 "phase_seconds": {}, "rule_cache": {},
             }
-        slot["tasks"] += 1
+        slot["tasks"] += tasks
         slot["task_seconds"] += wall_seconds
         for name, value in phase_seconds.items():
             slot["phase_seconds"][name] = (

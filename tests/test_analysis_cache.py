@@ -117,6 +117,22 @@ class TestByteIdentity:
         assert render_all(warm) == render_all(cold)
 
 
+    def test_unbounded_queue_spec_lints_cold_and_warm(self, tmp_path):
+        """Row 3.6 specs have unbounded queues (``queue_bound=None``);
+        the cost pass counts one slot per queue instead of crashing."""
+        from repro.fuzz import generate
+
+        spec = generate(7, "3.6")
+        assert spec.semantics.queue_bound is None
+        text = spec.to_dws()
+        cache = LintCache(tmp_path)
+        cold = lint_cached(text, semantics=spec.semantics, cache=cache)
+        warm = lint_cached(text, semantics=spec.semantics, cache=cache)
+        assert cache.document_hits == 1
+        assert cold.cost_hints["total"] > 0
+        assert render_all(warm) == render_all(cold)
+
+
 class TestInvalidation:
     def test_editing_one_peer_keeps_the_other_peers_entry(self, tmp_path):
         cache = LintCache(tmp_path)

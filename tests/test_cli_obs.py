@@ -1,7 +1,7 @@
-"""Tests for the observability CLI surface: `repro top`, `repro
-doctor`, `repro trace convert`, `repro metrics export`, `repro bench
-check` -- plus the end-to-end acceptance path: a sharded, parallel
-verify whose traces stitch into one Chrome document under one run id.
+"""Tests for the observability CLI surface: `repro top`, `repro trace
+convert`, `repro metrics export`, `repro bench check` -- plus the
+end-to-end acceptance path: a sharded, parallel verify whose traces
+stitch into one Chrome document under one run id.
 """
 
 import json
@@ -85,39 +85,6 @@ class TestTopCommand:
         assert main(["top", "--once", "--run", "r-top-a"]) == 0
         out = capsys.readouterr().out
         assert "r-top-a" in out and "r-top-b" not in out
-
-
-class TestDoctorCommand:
-    def test_healthy_host(self, capsys):
-        code = main(["doctor"])
-        out = capsys.readouterr().out
-        assert "shared memory available:" in out
-        assert "runs directory:" in out
-        # this test process creates no segments, so a leak here would
-        # be someone else's; tolerate both but require the audit line
-        assert "leaked graph segments" in out
-        assert code in (0, 1)
-
-    def test_leak_detection_and_clean(self, capsys):
-        from repro.verifier import shm
-        if not shm.shm_available():
-            pytest.skip("POSIX shared memory unavailable")
-        from multiprocessing import shared_memory
-        seg = shared_memory.SharedMemory(
-            create=True, size=64, name=f"{shm.SEGMENT_PREFIX}clitest")
-        seg.close()
-        try:
-            assert main(["doctor"]) == 1
-            assert "clitest" in capsys.readouterr().out
-            assert main(["doctor", "--clean"]) == 0
-            assert "cleaned" in capsys.readouterr().out
-            assert main(["doctor"]) == 0
-        finally:
-            try:
-                shared_memory.SharedMemory(
-                    name=f"{shm.SEGMENT_PREFIX}clitest").unlink()
-            except FileNotFoundError:
-                pass
 
 
 class TestTraceConvertCommand:

@@ -1,4 +1,4 @@
-"""Tests for the static cost model and its batch-planning hints."""
+"""Tests for the static cost model and pool batch planning."""
 
 from repro.analysis import lint_composition
 from repro.analysis.cost import composition_cost, peer_state_bits
@@ -12,44 +12,18 @@ def grid(groups, ctxs, per_cell):
         for ctx in range(ctxs):
             for _ in range(per_cell):
                 tasks.append(SweepTask(group=group, order=order, ctx=ctx,
-                                       sentence=group, valuation=()))
+                                       valuation=()))
                 order += 1
     return tasks
 
 
 class TestPlanBatches:
-    def test_unhinted_behavior_is_unchanged(self):
-        tasks = grid(1, 2, 16)
-        assert plan_batches(tasks, 2) == plan_batches(tasks, 2, None)
-        assert plan_batches(tasks, 2) == plan_batches(tasks, 2, {})
-
-    def test_hints_change_batch_sizing_deterministically(self):
-        tasks = grid(1, 2, 16)
-        flat = plan_batches(tasks, 2)
-        hints = {(0, 0): 3.0, (0, 1): 1.0}
-        hinted = plan_batches(tasks, 2, hints)
-        assert hinted != flat
-        assert hinted == plan_batches(tasks, 2, dict(hints))
-        # expensive cell -> finer batches, cheap cell -> coarser
-        cell = lambda batches, ctx: [len(b) for b in batches
-                                     if b[0].ctx == ctx]
-        assert max(cell(hinted, 0)) < max(cell(flat, 0))
-        assert max(cell(hinted, 1)) > max(cell(flat, 1))
-
     def test_batches_cover_tasks_in_order(self):
         tasks = grid(2, 2, 7)
-        for hints in (None, {(0, 0): 9.0, (1, 1): 0.25}):
-            batches = plan_batches(tasks, 3, hints)
-            assert [t for b in batches for t in b] == tasks
-            for batch in batches:
-                assert len({(t.group, t.ctx) for t in batch}) == 1
-
-    def test_nonpositive_and_unknown_weights_are_ignored(self):
-        tasks = grid(1, 1, 8)
-        assert plan_batches(tasks, 2, {(0, 0): 0.0}) == \
-            plan_batches(tasks, 2)
-        assert plan_batches(tasks, 2, {(9, 9): 5.0}) == \
-            plan_batches(tasks, 2)
+        batches = plan_batches(tasks, 3)
+        assert [t for b in batches for t in b] == tasks
+        for batch in batches:
+            assert len({(t.group, t.ctx) for t in batch}) == 1
 
 
 class TestCostModel:

@@ -1,37 +1,45 @@
-"""The distributed sweep: stealing, sharding, crashes, start methods.
+"""The distributed sweep: pool batches, sharding, crashes, start methods.
 
-PR 6's determinism contract, tested differentially: the verdict, the
+The determinism contract, tested differentially: the verdict, the
 decisive valuation (and its global ``decisive_order``), and the
 counterexample lasso must be bit-for-bit identical across
 
-* worker counts (1 / 2 / 4) under the work-stealing pool,
+* worker counts (1 / 2 / 4),
 * ``--shard`` runs -- a trivial 1-shard run and a 3-shard split merged
   back through :func:`repro.verifier.merge_fragments`,
 * the ``fork`` and ``spawn`` start methods, and
 * a pool crash: a worker killed mid-task must trip the
-  ``BrokenProcessPool`` fallback, which re-runs the sweep sequentially
-  in the driver with the same verdict and no leaked ``/dev/shm``
-  segment.
+  ``BrokenProcessPool`` fallback, which re-runs the sweep in the driver
+  with the same verdict.
 
-Plus white-box units for the scheduler pieces: ``plan_batches`` (steal
-units never span a ``(group, ctx)`` exploration), ``shard_filter``
-(disjoint complete partition with global orders), and ``resolve_shard``
-validation.  A hypothesis property closes the loop over random
-sender-receiver style compositions.
+Every pooled run must leave no child process behind.  Plus white-box
+units for the grid pieces: ``plan_batches`` (batches never span a
+``(group, ctx)`` exploration), ``shard_filter`` (disjoint complete
+partition with global orders), ``resolve_shard`` validation and the
+payload's pickle protocol.  A hypothesis property closes the loop over
+random sender-receiver style compositions.
 """
+
+import multiprocessing
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fo import Instance
+from repro.library import ecommerce, payments
 from repro.obs import counters_snapshot
 from repro.runtime import validate_lasso
 from repro.spec import Composition, PeerBuilder
+from repro.spec.channels import DECIDABLE_DEFAULT
 from repro.verifier import (
-    leaked_segments, merge_fragments, resolve_shard, result_from_merged,
-    shard_filter, shard_fragment, verification_domain, verify,
+    SharedExploration, TransitionCache, merge_fragments, resolve_shard,
+    result_from_merged, shard_filter, shard_fragment, verification_domain,
+    verify,
 )
-from repro.verifier.parallel import SweepTask, plan_batches
+from repro.verifier.parallel import (
+    SweepContext, SweepPayload, SweepTask, payload_to_bytes, plan_batches,
+)
 
 SAFETY = "forall x: G( R.got(x) -> S.items(x) )"
 LIVENESS = "forall x: G( S.pick(x) -> F R.got(x) )"
@@ -97,8 +105,13 @@ def _assert_equivalent(reference, other, comp, dbs, dom_values):
     assert not problems, problems
 
 
+def _assert_no_children():
+    children = multiprocessing.active_children()
+    assert not children, children
+
+
 # ---------------------------------------------------------------------------
-# scheduler units
+# grid units
 
 
 def _grid(n_tasks, groups=1, ctxs=1):
@@ -108,7 +121,7 @@ def _grid(n_tasks, groups=1, ctxs=1):
         for ctx in range(ctxs):
             for _ in range(n_tasks):
                 tasks.append(SweepTask(group=group, order=order, ctx=ctx,
-                                       sentence=group, valuation=()))
+                                       valuation=()))
                 order += 1
     return tasks
 
@@ -120,7 +133,7 @@ def test_plan_batches_cover_grid_in_order():
     assert flat == tasks  # nothing lost, global order preserved
     for batch in batches:
         assert len({(t.group, t.ctx) for t in batch}) == 1, (
-            "a steal unit spans two explorations"
+            "a batch spans two explorations"
         )
 
 
@@ -155,6 +168,27 @@ def test_resolve_shard_validates():
             resolve_shard(bad)
 
 
+def test_payload_ships_at_highest_protocol():
+    """The pool payload serializes with protocol 5, not the mp default."""
+    comp, dbs = sender_receiver_case()
+    dom = verification_domain(comp, [], dbs, fresh_count=1)
+    cache = TransitionCache(comp, dbs, dom.values, DECIDABLE_DEFAULT)
+    graph = SharedExploration(cache).complete()
+    payload = SweepPayload(
+        composition=comp,
+        contexts=(SweepContext(tuple(sorted(dbs.items())), dom),),
+        sentences=(),
+        semantics=DECIDABLE_DEFAULT,
+        frozen_graph=graph,
+    )
+    data = payload_to_bytes(payload, workers=2)
+    # pickle protocol 5 frames start with \x80\x05
+    assert data[:2] == b"\x80\x05"
+    clone = pickle.loads(data)
+    assert clone.frozen_graph is not None
+    assert clone.frozen_graph.num_states == graph.num_states
+
+
 # ---------------------------------------------------------------------------
 # differential: workers x shards
 
@@ -176,18 +210,36 @@ def test_workers_and_shards_agree(prop, expected):
 
     merged = _merged_shard_run(comp, dbs, prop, count=3, workers=2)
     _assert_equivalent(reference, merged, comp, dbs, dom.values)
-    assert not leaked_segments(), leaked_segments()
+    # the liveness case is violated early: pools cancel later tasks
+    _assert_no_children()
+
+
+def test_trivial_shard_matches_unsharded_stats():
+    """``shard=(0, 1)`` is the unsharded sweep, explored just as lazily.
+
+    ``order_resolved`` is violated at its first valuation, so neither
+    run may expand more than the lazy search needs.
+    """
+    comp = ecommerce.ecommerce_composition()
+    dbs = ecommerce.standard_database("good")
+    cands = {"p": ("widget",), "card": ("visa", "amex")}
+    runs = [
+        _verify(comp, dbs, ecommerce.PROPERTY_ORDER_RESOLVED, workers=1,
+                valuation_candidates=cands, **shard)
+        for shard in ({}, {"shard": (0, 1)})
+    ]
+    plain, sharded = (r.stats for r in runs)
+    assert sharded.system_states == plain.system_states
+    assert sharded.product_nodes_visited == plain.product_nodes_visited
+    assert sharded.valuations_checked == plain.valuations_checked == 1
 
 
 def test_shard_conflicts_are_rejected():
     comp, dbs = sender_receiver_case()
-    from repro.verifier import TransitionCache
-    from repro.spec.channels import DECIDABLE_DEFAULT
     dom = verification_domain(comp, [], dbs, fresh_count=1)
-    cache = TransitionCache(comp, dbs, dom.values, DECIDABLE_DEFAULT)
-    with pytest.raises(ValueError, match="shard"):
-        verify(comp, SAFETY, dbs, domain=dom, shard=(0, 2),
-               transition_cache=cache)
+    for bad in ((2, 2), (0, 0)):
+        with pytest.raises(ValueError, match="shard"):
+            verify(comp, SAFETY, dbs, domain=dom, shard=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +263,39 @@ def test_pool_crash_falls_back_sequentially(monkeypatch):
     assert (crashed.counterexample.valuation
             == reference.counterexample.valuation)
     assert crashed.counterexample.lasso == reference.counterexample.lasso
-    assert not leaked_segments(), leaked_segments()
+    _assert_no_children()
+
+
+def test_killed_worker_leaves_no_children(monkeypatch):
+    """Process hygiene under the worst crash: a worker dies mid-task.
+
+    The pool must fall back to the in-process run with the same verdict
+    and reap every worker -- a crashed sweep must not leave processes
+    behind.
+    """
+    comp = payments.payments_composition()
+    dbs = payments.standard_database()
+    prop = payments.PROPERTY_REFUND_AFTER_CAPTURE
+    reference = verify(
+        comp, prop, dbs,
+        valuation_candidates=payments.STANDARD_CANDIDATES, workers=1,
+    )
+
+    monkeypatch.setenv("REPRO_TEST_KILL_TASK", "0")
+    before = counters_snapshot()
+    crashed = verify(
+        comp, prop, dbs,
+        valuation_candidates=payments.STANDARD_CANDIDATES, workers=2,
+    )
+    after = counters_snapshot()
+
+    broke = (after.get("sweep.pool_broken", 0)
+             - before.get("sweep.pool_broken", 0))
+    assert broke >= 1, "the killed worker did not trip the pool fallback"
+    assert crashed.verdict == reference.verdict == "VIOLATED"
+    assert (crashed.counterexample.lasso
+            == reference.counterexample.lasso)
+    _assert_no_children()
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +310,7 @@ def test_spawn_start_method_smoke(monkeypatch):
     monkeypatch.setenv("REPRO_START_METHOD", "spawn")
     par = _verify(comp, dbs, LIVENESS, workers=2)
     _assert_equivalent(reference, par, comp, dbs, dom.values)
-    assert not leaked_segments(), leaked_segments()
+    _assert_no_children()
 
 
 # ---------------------------------------------------------------------------
@@ -246,4 +330,3 @@ def test_shard_merge_matches_sequential(items, prop, count):
     reference = _verify(comp, dbs, prop, workers=1)
     merged = _merged_shard_run(comp, dbs, prop, count=count, workers=1)
     _assert_equivalent(reference, merged, comp, dbs, dom.values)
-    assert not leaked_segments(), leaked_segments()

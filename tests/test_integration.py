@@ -12,8 +12,9 @@ from repro.runtime import reachable_states, simulate, snapshot_view
 from repro.spec import (
     ChannelSemantics, DECIDABLE_DEFAULT, PERFECT_BOUNDED,
 )
+from repro.obs import counters_snapshot
 from repro.verifier import (
-    SnapshotEvaluator, TransitionCache, verification_domain, verify,
+    SnapshotEvaluator, verification_domain, verify, verify_all,
 )
 
 DB = {"S": Instance({"items": [("a",)]})}
@@ -118,14 +119,17 @@ class TestProtocolVsLtlfoConsistency:
 
 class TestSharedTransitionCache:
     def test_cache_reused_across_properties(self, sender_receiver):
+        """verify_all serves both properties from one exploration: the
+        pair expands exactly the states one property alone expands."""
         dom = verification_domain(sender_receiver, [], DB)
-        cache = TransitionCache(sender_receiver, DB, dom.values,
-                                DECIDABLE_DEFAULT)
-        r1 = verify(sender_receiver, "G true", DB, domain=dom,
-                    transition_cache=cache)
-        states_after_first = cache.states_expanded
-        r2 = verify(sender_receiver,
-                    "forall x: G( R.got(x) -> S.items(x) )", DB,
-                    domain=dom, transition_cache=cache)
+        props = ["G true", "forall x: G( R.got(x) -> S.items(x) )"]
+        before = counters_snapshot().get("product.states_expanded", 0)
+        r1, r2 = verify_all(sender_receiver, props, DB, domain=dom,
+                            workers=1)
+        expanded = (counters_snapshot().get("product.states_expanded", 0)
+                    - before)
         assert r1.satisfied and r2.satisfied
-        assert cache.states_expanded >= states_after_first
+        alone = verify(sender_receiver, props[1], DB, domain=dom,
+                       workers=1)
+        assert expanded == alone.stats.system_states > 0
+        assert r2.stats.system_states == expanded

@@ -125,7 +125,7 @@ class TestPrometheusNames:
 class TestPrometheusRendering:
     def test_counters_gauges_histograms_phases(self):
         counter("fo.evals").inc(5)
-        gauge("shm.segments_active").set(2)
+        gauge("sweep.batches").set(2)
         h = REGISTRY.histogram("task.seconds", (0.1, 1.0))
         h.observe(0.05)
         h.observe(0.5)
@@ -135,7 +135,7 @@ class TestPrometheusRendering:
         text = render_prometheus(REGISTRY.snapshot())
         lines = text.splitlines()
         assert "repro_fo_evals_total 5" in lines
-        assert "repro_shm_segments_active 2" in lines
+        assert "repro_sweep_batches 2" in lines
         # buckets are cumulative with inclusive upper bounds (le)
         assert 'repro_task_seconds_bucket{le="0.1"} 1' in lines
         assert 'repro_task_seconds_bucket{le="1"} 2' in lines

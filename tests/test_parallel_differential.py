@@ -180,6 +180,7 @@ def test_verify_over_databases_differential():
         **kwargs
     )
     assert seq.verdict == par.verdict == "SATISFIED"
+    _assert_same_counts(seq, par)
 
     seq = verify_over_databases(
         comp, "G R.empty_msg", workers=1, **kwargs
@@ -189,6 +190,14 @@ def test_verify_over_databases_differential():
     )
     assert seq.verdict == par.verdict == "VIOLATED"
     assert par.counterexample.lasso == seq.counterexample.lasso
+    _assert_same_counts(seq, par)
+
+
+def _assert_same_counts(seq, par):
+    """The whole (database, valuation) grid counts at any worker count."""
+    assert par.stats.valuations_checked == seq.stats.valuations_checked
+    assert (par.stats.product_nodes_visited
+            == seq.stats.product_nodes_visited)
 
 
 def test_parallel_stats_shape():
