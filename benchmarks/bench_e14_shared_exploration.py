@@ -6,15 +6,15 @@ graph does not depend on the valuation), and memoizes per-state letter
 fragments across valuations.  Rows measured here:
 
 * a wide loan sweep (>= 8 valuations of the letter property) run
-  sequentially under both engines -- the shared engine must be at
-  least ``REPRO_BENCH_MIN_SPEEDUP`` (default 3x) faster while agreeing
-  node-for-node with the seed;
+  sequentially by ``verify`` and by the per-valuation reference checker
+  (``verify_reference``, the case keys' "seed") -- the shared sweep
+  must be at least ``REPRO_BENCH_MIN_SPEEDUP`` (default 3x) faster;
 * the same sweep at ``--workers`` -- the driver pre-expands the graph
   once and ships the frozen CSR to the pool, so the run must show
   frozen-graph serving (``graph.reuse_hits``) and at most ONE full
   expansion (``product.states_expanded``), not one per worker;
 * a quick parity row over the standard candidates for the CI smoke
-  job.
+  job: ``verify`` and the reference agree node for node.
 
 All rows land in ``BENCH_PR5.json`` (see harness.snapshot_metrics).
 """
@@ -28,7 +28,7 @@ from repro.library.loan import (
     loan_composition, standard_database,
 )
 from repro.obs import counters_snapshot
-from repro.verifier import verification_domain, verify
+from repro.verifier import verification_domain, verify, verify_reference
 
 from harness import bench_workers, record, record_speedup, snapshot_metrics
 
@@ -52,32 +52,33 @@ def _min_speedup() -> float:
     return float(raw) if raw else 3.0
 
 
-def _sweep(engine: str, workers: int = 1,
-           candidates=WIDE_CANDIDATES):
+def _sweep(check=verify, candidates=WIDE_CANDIDATES, **kwargs):
+    """One loan letter sweep, by ``verify`` or ``verify_reference``."""
     composition = loan_composition()
     databases = standard_database("fair")
     domain = verification_domain(composition, [], databases,
                                  fresh_count=1)
-    return verify(composition, PROPERTY_LETTER_NEEDS_APPLICATION,
-                  databases, domain=domain,
-                  valuation_candidates=candidates, workers=workers,
-                  engine=engine)
+    return check(composition, PROPERTY_LETTER_NEEDS_APPLICATION,
+                 databases, domain=domain,
+                 valuation_candidates=candidates, **kwargs)
 
 
 def test_shared_vs_seed_sequential(benchmark):
     """The tentpole row: one frozen graph amortised over the sweep."""
-    seed = _sweep("seed")
-    shared = benchmark.pedantic(_sweep, args=("shared",),
+    seed = _sweep(verify_reference)
+    shared = benchmark.pedantic(_sweep, kwargs={"workers": 1},
                                 rounds=1, iterations=1)
     assert seed.stats.valuations_checked >= 8
+    assert (shared.stats.product_nodes_visited
+            == seed.stats.product_nodes_visited)
     speedup = record_speedup(
         EXPERIMENT, "loan letter sweep, shared vs seed", seed, shared,
         workers=1,
     )
     floor = _min_speedup()
     assert speedup >= floor, (
-        f"shared engine only {speedup:.2f}x faster than seed "
-        f"(required {floor:.1f}x): seed={seed.stats.wall_seconds:.3f}s "
+        f"shared sweep only {speedup:.2f}x faster than the reference "
+        f"(required {floor:.1f}x): reference={seed.stats.wall_seconds:.3f}s "
         f"shared={shared.stats.wall_seconds:.3f}s"
     )
 
@@ -86,7 +87,7 @@ def test_workers_serve_frozen_graph(benchmark):
     """Workers walk the shipped CSR; nobody re-expands the graph."""
     before = counters_snapshot()
     workers = bench_workers()
-    result = benchmark.pedantic(_sweep, args=("shared", workers),
+    result = benchmark.pedantic(_sweep, kwargs={"workers": workers},
                                 rounds=1, iterations=1)
     after = counters_snapshot()
     record(EXPERIMENT, f"loan letter sweep, frozen graph x{workers}",
@@ -110,11 +111,10 @@ def test_workers_serve_frozen_graph(benchmark):
 
 
 def test_quick_parity(benchmark):
-    """CI smoke row: standard candidates, both engines, equal verdicts."""
-    seed = _sweep("seed", candidates=STANDARD_CANDIDATES)
+    """CI smoke row: standard candidates, sweep vs reference."""
+    seed = _sweep(verify_reference, candidates=STANDARD_CANDIDATES)
     shared = benchmark.pedantic(
-        _sweep, kwargs={"engine": "shared",
-                        "candidates": STANDARD_CANDIDATES},
+        _sweep, kwargs={"workers": 1, "candidates": STANDARD_CANDIDATES},
         rounds=1, iterations=1,
     )
     record(EXPERIMENT, "loan letter, standard candidates [shared]",

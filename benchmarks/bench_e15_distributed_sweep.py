@@ -7,9 +7,10 @@ initializer; batches of valuations run in global order and the
 lowest-order violated task decides.  Rows measured here, all on the
 180-valuation E14 loan sweep:
 
-* an engine/worker grid -- seed@1 as the reference, then the shared
-  engine at 1/2/4 workers, with verdict and node-count equality
-  asserted against the reference on every cell;
+* a worker grid -- the per-valuation reference checker
+  (``verify_reference``, case key "seed x1") first, then ``verify`` at
+  1/2/4 workers, with verdict and node-count equality asserted against
+  the reference on every cell;
 * the shipping-cost row -- at 4 workers the ``graph.shm_bytes_shipped``
   counter must record the pickled graph bytes times the worker count.
 
@@ -25,7 +26,7 @@ from repro.library.loan import (
     standard_database,
 )
 from repro.obs import counters_snapshot
-from repro.verifier import verification_domain, verify
+from repro.verifier import verification_domain, verify, verify_reference
 
 from harness import record, snapshot_metrics
 
@@ -42,26 +43,25 @@ WIDE_CANDIDATES = {
 WORKER_GRID = (1, 2, 4)
 
 
-def _sweep(engine: str = "shared", workers: int = 1):
-    """One wide loan sweep."""
+def _sweep(check=verify, **kwargs):
+    """One wide loan sweep, by ``verify`` or ``verify_reference``."""
     composition = loan_composition()
     databases = standard_database("fair")
     domain = verification_domain(composition, [], databases,
                                  fresh_count=1)
-    return verify(composition, PROPERTY_LETTER_NEEDS_APPLICATION,
-                  databases, domain=domain,
-                  valuation_candidates=WIDE_CANDIDATES,
-                  workers=workers, engine=engine)
+    return check(composition, PROPERTY_LETTER_NEEDS_APPLICATION,
+                 databases, domain=domain,
+                 valuation_candidates=WIDE_CANDIDATES, **kwargs)
 
 
 def test_engine_worker_grid(benchmark):
-    """seed@1 vs shared at 1/2/4 workers."""
-    reference = _sweep("seed", workers=1)
+    """The reference checker vs ``verify`` at 1/2/4 workers."""
+    reference = _sweep(verify_reference)
     record(EXPERIMENT, "loan letter sweep [seed x1]", reference, True)
     assert reference.stats.valuations_checked >= 8
 
     def _grid():
-        return [(workers, _sweep("shared", workers))
+        return [(workers, _sweep(workers=workers))
                 for workers in WORKER_GRID]
 
     rows = benchmark.pedantic(_grid, rounds=1, iterations=1)

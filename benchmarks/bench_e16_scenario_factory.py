@@ -6,15 +6,16 @@ ride-hailing dispatch flow -- each with two satisfied and two violated
 LTL-FO properties (the violated ones are message races the lossy
 semantics makes real).  Rows measured here:
 
-* every documented property of both domains verified under the
-  ``seed`` engine, the ``shared`` engine, and a 4-worker pool, with
+* every documented property of both domains verified by the
+  per-valuation reference checker (``verify_reference``, case key
+  "seed x1"), by ``verify`` in process, and by a 4-worker pool, with
   verdicts, valuation/node counts, and counterexample lassos asserted
   identical across the three configurations (the determinism contract
   on curated, rather than generated, specs);
 * a 20-case fuzz batch over theorem rows 3.4/3.7/3.9 run through the
-  full oracle stack (classifier, dump/load round-trip, seed-vs-shared
-  differential, 2-worker pool, 2-shard merge, lasso replay) -- zero
-  oracle violations expected.
+  full oracle stack (classifier, dump/load round-trip,
+  reference-vs-production differential, 2-worker pool, 2-shard merge,
+  lasso replay) -- zero oracle violations expected.
 
 All rows land in ``BENCH_PR7.json`` (see harness.snapshot_metrics).
 """
@@ -23,7 +24,7 @@ import pytest
 
 from repro.fuzz import fuzz
 from repro.library import dispatch, payments
-from repro.verifier import verify
+from repro.verifier import verify, verify_reference
 
 from harness import record, repro_seed, snapshot_metrics
 
@@ -53,15 +54,16 @@ DOMAINS = {
 }
 
 CONFIGURATIONS = (
-    ("seed x1", dict(engine="seed")),
-    ("shared x1", dict(engine="shared")),
-    ("shared x4", dict(workers=4)),
+    ("seed x1", verify_reference, {}),
+    ("shared x1", verify, dict(workers=1)),
+    ("shared x4", verify, dict(workers=4)),
 )
 
 
 @pytest.mark.parametrize("domain", sorted(DOMAINS))
 def test_domain_configuration_grid(benchmark, domain):
-    """Each property: identical results under seed/shared/4 workers."""
+    """Each property: identical results from the reference, the
+    in-process sweep and 4 workers."""
     build, databases, candidates, properties = DOMAINS[domain]
     comp, dbs = build(), databases()
 
@@ -69,8 +71,8 @@ def test_domain_configuration_grid(benchmark, domain):
         rows = []
         for prop_name, text, expected in properties:
             results = {}
-            for config_name, kwargs in CONFIGURATIONS:
-                results[config_name] = verify(
+            for config_name, check, kwargs in CONFIGURATIONS:
+                results[config_name] = check(
                     comp, text, dbs, valuation_candidates=candidates,
                     **kwargs)
             rows.append((prop_name, expected, results))

@@ -5,7 +5,7 @@ Usage::
     python -m repro verify SPEC.dws [--property NAME] [--perfect]
                            [--queue-bound K] [--fair] [--fresh N]
                            [--counterexample] [--workers N] [--stats]
-                           [--engine shared|seed] [--lint-first]
+                           [--lint-first]
                            [--shard i/N] [--shard-output FILE]
                            [--trace FILE.jsonl] [--metrics-json FILE]
     python -m repro check SPEC.dws            # input-boundedness only
@@ -20,12 +20,14 @@ Usage::
     python -m repro bench check [--metrics-dir DIR] [--json]
 
 ``verify`` runs every ``property`` statement in the document (or just
-``--property NAME``) and reports verdicts; the exit status is 0 iff all
-checked properties are satisfied.  ``--workers N`` fans the valuation
-sweep out across N processes (``--workers 0``: all cores; default: the
-``REPRO_WORKERS`` environment variable, else sequential); ``--stats``
-prints the full per-property statistics including task counts, compute
-time, and rule-cache hit rates of the parallel sweep.
+``--property NAME``) in one :func:`repro.verifier.verify_all` call, so
+the reachable state space is explored once per document, and reports
+verdicts; the exit status is 0 iff all checked properties are
+satisfied.  ``--workers N`` fans the valuation sweep out across N
+processes (``--workers 0``: all cores; default: the ``REPRO_WORKERS``
+environment variable, else sequential); ``--stats`` prints the full
+per-property statistics including task counts, compute time, and
+rule-cache hit rates of the parallel sweep.
 
 ``--shard i/N`` (on ``verify`` and ``profile``) runs only the i-th of
 N deterministic slices of the valuation sweep and writes a mergeable
@@ -89,9 +91,9 @@ from .obs import (
 )
 from .obs.metrics import SCHEMA as METRICS_SCHEMA
 from .runtime import simulate
-from .spec import ChannelSemantics
+from .spec import DECIDABLE_DEFAULT, ChannelSemantics
 from .spec.dsl import load_document
-from .verifier import verification_domain, verify
+from .verifier import verification_domain, verify_all
 
 #: Library examples profilable without a .dws file: name -> loader
 #: returning (composition, databases, properties, valuation_candidates).
@@ -241,17 +243,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                      fresh_count=args.fresh)
     shard = _parse_shard(args.shard)
     set_shard(shard)
-    all_ok = True
+    names = sorted(sentences)
+    results = verify_all(
+        composition, [sentences[name] for name in names], databases,
+        semantics=_semantics(args), domain=domain,
+        fair_scheduling=args.fair, workers=args.workers, shard=shard,
+    )
+    all_ok = all(r.satisfied for r in results)
     entries: list[dict] = []
-    results: list = []
-    for name, sentence in sorted(sentences.items()):
-        result = verify(
-            composition, sentence, databases,
-            semantics=_semantics(args), domain=domain,
-            fair_scheduling=args.fair, workers=args.workers,
-            engine=args.engine, shard=shard,
-        )
-        results.append(result)
+    for name, result in zip(names, results):
         entries.append(_result_entry(name, result))
         if args.stats:
             print(f"{name}:")
@@ -261,10 +261,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"{name}: {result.verdict}  "
                   f"(states={result.stats.system_states}, "
                   f"{result.stats.wall_seconds:.2f}s)")
-        if not result.satisfied:
-            all_ok = False
-            if args.counterexample and result.counterexample:
-                print(result.counterexample.describe(composition))
+        if args.counterexample and result.counterexample:
+            print(result.counterexample.describe(composition))
     if shard is not None:
         _write_shard_fragment(args, shard, results, composition)
     _write_metrics_json(args.metrics_json, "verify", entries)
@@ -572,7 +570,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         domain = verification_domain(composition, [], databases,
                                      fresh_count=args.fresh
                                      if args.fresh is not None else 1)
-        semantics = None  # library defaults (decidable semantics)
+        semantics = DECIDABLE_DEFAULT
     else:
         composition, databases, properties = _load(target)
         candidates = None
@@ -594,21 +592,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
     seconds_before = phase_seconds()
     counts_before = phase_counts()
     t0 = time.perf_counter()
-    results = []
-    all_ok = True
+    names = sorted(properties)
+    results = verify_all(
+        composition, [properties[name] for name in names], databases,
+        semantics=semantics, domain=domain,
+        valuation_candidates=candidates, fair_scheduling=args.fair,
+        workers=args.workers, shard=shard,
+    )
+    all_ok = all(r.satisfied for r in results)
     entries: list[dict] = []
-    for name, prop in sorted(properties.items()):
-        kwargs = dict(domain=domain, workers=args.workers,
-                      fair_scheduling=args.fair, engine=args.engine,
-                      shard=shard)
-        if semantics is not None:
-            kwargs["semantics"] = semantics
-        if candidates:
-            kwargs["valuation_candidates"] = candidates
-        result = verify(composition, prop, databases, **kwargs)
-        results.append(result)
+    for name, result in zip(names, results):
         entries.append(_result_entry(name, result))
-        all_ok = all_ok and result.satisfied
         print(f"{name}: {result.verdict}  "
               f"(valuations={result.stats.valuations_checked}, "
               f"states={result.stats.system_states}, "
@@ -945,12 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "or sequential)")
     p_verify.add_argument("--stats", action="store_true",
                           help="print full per-property statistics")
-    p_verify.add_argument("--engine", choices=("shared", "seed"),
-                          default=None,
-                          help="search engine: 'shared' reuses one "
-                               "hash-consed exploration across "
-                               "valuations (default; $REPRO_ENGINE), "
-                               "'seed' is the per-valuation engine")
     p_verify.add_argument("--lint-first", action="store_true",
                           dest="lint_first",
                           help="run the full static analyzer before "
@@ -1017,9 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--workers", type=int, default=None,
                         help="parallel sweep worker processes "
                              "(0: all cores)")
-    p_prof.add_argument("--engine", choices=("shared", "seed"),
-                        default=None,
-                        help="search engine (see `repro verify`)")
     _add_shard_options(p_prof)
     p_prof.set_defaults(func=cmd_profile)
 

@@ -10,12 +10,13 @@ of its verdict:
 2. **Round-trip** -- the spec serializes to ``.dws`` text and parses
    back structurally equal (peers, databases, property texts); this is
    load-bearing for corpus replay.
-3. **Engine differential** -- ``engine="seed"`` and ``engine="shared"``
+3. **Engine differential** -- the production ``verify`` and the
+   standalone reference checker (:func:`repro.verifier.verify_reference`)
    agree bit-for-bit: verdict, decisive order, valuation/node counts,
    decisive valuation, and counterexample lasso.
 4. **Distribution** -- a 2-worker sweep and a 2-way ``--shard`` split
    merged back through :func:`merge_fragments` both reproduce the
-   sequential result exactly.
+   sequential production result exactly.
 5. **Replay** -- every counterexample lasso replays as a genuine run
    through :func:`repro.runtime.validate_lasso`.
 6. **Verdict** -- rows with certain expected verdicts (the decidable
@@ -25,8 +26,9 @@ Oracles 3-6 only run where the configuration is verifiable (bounded
 queues); row 3.5 runs them with the IB pre-check disabled, which is
 exactly the bug-finding-stays-sound claim of the paper's Section 3.
 
-The ``verify_hook`` seam exists for the mutation test in the suite: a
-deliberately buggy engine wrapper injected there must be caught by the
+The ``verify_hook`` seam stands in for every production ``verify`` call
+(never for the reference) and exists for the mutation test in the
+suite: a deliberately buggy wrapper injected there must be caught by the
 differential oracle and shrunk to a minimized reproducer.
 """
 
@@ -40,7 +42,7 @@ from ..obs import campaign_progress, instant
 from ..runtime import validate_lasso
 from ..verifier import (
     merge_fragments, result_from_merged, shard_fragment,
-    verification_domain, verify,
+    verification_domain, verify, verify_reference,
 )
 from .generate import GeneratedSpec, generate
 from .shrink import shrink
@@ -214,7 +216,7 @@ def _verify_oracles(spec: GeneratedSpec,
             check_input_bounded=spec.check_input_bounded,
         )
         try:
-            reference = verify(comp, text, dbs, engine="shared", **kwargs)
+            production = verify_hook(comp, text, dbs, **kwargs)
         except Exception as err:
             out.append(OracleViolation(
                 "engine", f"{name}: sequential verify crashed: {err!r}"
@@ -222,28 +224,29 @@ def _verify_oracles(spec: GeneratedSpec,
             continue
 
         expected = spec.expected_verdicts.get(name)
-        if expected is not None and reference.satisfied != expected:
+        if expected is not None and production.satisfied != expected:
             out.append(OracleViolation(
                 "verdict",
                 f"{name}: expected "
                 f"{'SATISFIED' if expected else 'VIOLATED'}, "
-                f"got {reference.verdict}"
+                f"got {production.verdict}"
             ))
 
-        # engine differential: the per-valuation seed engine against
-        # the shared-exploration engine (possibly hooked by a test)
+        # engine differential: the standalone per-valuation reference
+        # checker against the production sweep
         try:
-            seeded = verify_hook(comp, text, dbs, engine="seed", **kwargs)
+            reference = verify_reference(comp, text, dbs, **kwargs)
         except Exception as err:
             out.append(OracleViolation(
                 "engine-differential",
-                f"{name}: seed engine crashed: {err!r}"
+                f"{name}: reference checker crashed: {err!r}"
             ))
-            seeded = None
-        if seeded is not None:
+            reference = None
+        if reference is not None:
             out.extend(OracleViolation("engine-differential", p)
                        for p in _compare_results(
-                           reference, seeded, f"{name} seed-vs-shared"))
+                           reference, production,
+                           f"{name} reference-vs-production"))
 
         # distribution: a worker pool and a merged shard split
         try:
@@ -256,7 +259,7 @@ def _verify_oracles(spec: GeneratedSpec,
         if pooled is not None:
             out.extend(OracleViolation("workers", p)
                        for p in _compare_results(
-                           reference, pooled, f"{name} workers=2"))
+                           production, pooled, f"{name} workers=2"))
 
         try:
             fragments = []
@@ -278,13 +281,13 @@ def _verify_oracles(spec: GeneratedSpec,
         if merged is not None:
             out.extend(OracleViolation("shard", p)
                        for p in _compare_results(
-                           reference, merged, f"{name} merged 2 shards"))
+                           production, merged, f"{name} merged 2 shards"))
 
         # replay: the counterexample must be a genuine lossy run
-        if reference.counterexample is not None:
+        if production.counterexample is not None:
             problems = validate_lasso(
                 comp, dbs, domain.values,
-                reference.counterexample.lasso,
+                production.counterexample.lasso,
                 semantics=spec.semantics,
             )
             if problems:

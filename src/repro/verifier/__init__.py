@@ -11,7 +11,6 @@ from .domain import (
 )
 from .graph import (
     ExploredGraph, InternedProduct, SharedExploration, StateInterner,
-    resolve_engine,
 )
 from .parallel import (
     SweepContext, SweepPayload, SweepTask, check_one_valuation,
@@ -32,6 +31,7 @@ from .search import (
 from .ltlfo_verifier import (
     preflight, verify, verify_all, verify_over_databases,
 )
+from .reference import verify_reference
 from .modular import (
     environment_schema, observer_translate, parse_env_spec,
     translate_env_spec, verify_modular,
@@ -52,9 +52,10 @@ __all__ = [
     "environment_schema", "find_accepting_lasso", "fresh_values",
     "grid_tasks", "merge_fragments", "merge_metrics_snapshots",
     "observer_translate", "parse_env_spec", "preflight",
-    "resolve_engine", "resolve_shard", "resolve_workers",
+    "resolve_shard", "resolve_workers",
     "result_from_merged",
     "run_sweep", "shard_filter", "shard_fragment", "spec_sha",
     "translate_env_spec", "verification_domain", "verify",
     "verify_all", "verify_modular", "verify_over_databases",
+    "verify_reference",
 ]

@@ -18,15 +18,19 @@ atomic propositions.  Two kinds of APs arise:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Mapping
 
 from ..fo.evaluator import evaluate
-from ..fo.formulas import Formula
+from ..fo.formulas import Atom, relations
 from ..fo.instance import Instance
+from ..fo.schema import move_name
+from ..ltl.formulas import land, latom, lfinally, lglobally, lnot
+from ..ltlfo.formulas import LTLFOSentence
 from ..obs import counter
-from ..fo.terms import Value
+from ..fo.terms import Value, Var, value_sort_key
 from ..spec.composition import Composition
 from ..runtime.state import GlobalState, snapshot_view
+from .domain import VerificationDomain
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,6 +41,33 @@ class OccursAtom:
 
     def __str__(self) -> str:
         return f"occurs({self.value!r})"
+
+
+def fairness_terms(composition: Composition) -> list:
+    """``/\\ GF move_W`` conjuncts restricting to fair runs."""
+    return [
+        lglobally(lfinally(latom(Atom(move_name(p.name), ()))))
+        for p in composition.peers
+    ]
+
+
+def negated_instance(composition: Composition, sentence: LTLFOSentence,
+                     valuation: Mapping[Var, Value],
+                     domain: VerificationDomain,
+                     fair_scheduling: bool = False):
+    """The negated instantiated body, conjoined with ``F occurs(v)`` per
+    fresh value of *valuation* (the ``Dom(rho)`` restriction) and, if
+    requested, the fairness terms.  The occurs terms are sorted so the
+    GPVW translation is identical in every process.
+    """
+    occurs_terms = [
+        lfinally(latom(OccursAtom(v)))
+        for v in sorted(set(valuation.values()), key=value_sort_key)
+        if v not in domain.constants
+    ]
+    extra = fairness_terms(composition) if fair_scheduling else []
+    return land(lnot(sentence.instantiate(valuation)), *occurs_terms,
+                *extra)
 
 
 class SnapshotEvaluator:
@@ -57,7 +88,6 @@ class SnapshotEvaluator:
         # projection cache: the truth of an FO sentence depends only on
         # the extensions of the relations it mentions, which repeat
         # heavily across snapshots
-        from ..fo.formulas import Formula, relations
         self._relevant: dict = {
             ap: tuple(sorted(relations(ap)))
             for ap in aps if not isinstance(ap, OccursAtom)
@@ -111,7 +141,7 @@ class SharedSnapshotContext:
     Owned by a :class:`~repro.verifier.graph.SharedExploration` and
     shared by every valuation's :class:`InternedSnapshotEvaluator`:
     snapshot views and active domains are computed once per state for
-    the whole sweep (the seed engine recomputes them once per state
+    the whole sweep (the reference checker recomputes them once per state
     *per valuation*), FO truths are shared across valuations whose APs
     coincide (occurs-atoms and closure-variable-free subformulas), and
     whole letters are memoized per (AP set, state).
@@ -157,7 +187,6 @@ class InternedSnapshotEvaluator:
         self.domain = tuple(domain)
         self.aps = aps
         self.shared = shared
-        from ..fo.formulas import relations
         self._relevant: dict = {
             ap: tuple(sorted(relations(ap)))
             for ap in aps if not isinstance(ap, OccursAtom)
@@ -193,10 +222,3 @@ class InternedSnapshotEvaluator:
         shared._letters[key] = letter
         return letter
 
-
-def evaluate_sentence_on_snapshot(formula: Formula, state: GlobalState,
-                                  composition: Composition,
-                                  domain: Iterable[Value]) -> bool:
-    """Convenience: truth of a closed FO sentence at one snapshot."""
-    return evaluate(formula, snapshot_view(state, composition),
-                    tuple(domain))

@@ -4,8 +4,10 @@ Theorem 3.4's reduction rests on a fact this module exploits directly:
 the composition's reachable snapshot graph is *valuation-independent* --
 different valuations of a property's closure variables change only the
 AP letters the Büchi automaton reads, never the snapshots or the
-transitions between them.  The seed engine re-derives that graph for
-every valuation (and, under ``--workers``, once per worker process).
+transitions between them.  The reference checker
+(:mod:`repro.verifier.reference`) shares only a successor memo across
+valuations: every valuation re-hashes raw snapshots and re-evaluates
+its letters.
 
 Three pieces remove the redundancy:
 
@@ -27,15 +29,14 @@ Three pieces remove the redundancy:
 
 Successor order, initial-state order, and Büchi target order are all
 preserved exactly, so the interned product visits the same nodes in the
-same order as the seed :class:`~repro.verifier.product.ProductSystem` --
-verdicts, counterexample lassos, and search node counts are identical
-(the differential suite pins this).
+same order as the reference's
+:class:`~repro.verifier.product.ProductSystem` -- verdicts,
+counterexample lassos, and search node counts are identical (the
+differential suite pins this).
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from array import array
 from collections import deque
 from typing import Iterator
@@ -44,22 +45,8 @@ from ..errors import VerificationError
 from ..obs import counter, gauge
 from ..runtime.state import GlobalState
 from ..spec.composition import Composition
+from .atoms import SharedSnapshotContext
 from .product import ProductNode, SearchBudget, TransitionCache
-
-#: Engine names accepted by ``verify(..., engine=...)`` and the CLI.
-ENGINES = ("shared", "seed")
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Normalize an engine selector (None -> ``REPRO_ENGINE`` or shared)."""
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE", "") or "shared"
-    if engine not in ENGINES:
-        raise VerificationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
-
 
 class StateInterner:
     """Hash-cons snapshots into dense ids (ids are assignment order)."""
@@ -90,35 +77,13 @@ class StateInterner:
         return len(self._states)
 
 
-def _as_q_array(data) -> array:
-    """Coerce CSR buffer data back into an owned ``array('q')``.
-
-    Older pickles carry an ``array``; protocol-5 pickles carry the
-    in-band bytes of a :class:`pickle.PickleBuffer`.
-    """
-    if isinstance(data, array):
-        return data
-    out = array("q")
-    out.frombytes(data)
-    return out
-
-
-def _rebuild_graph(states, initial_ids, offsets, targets, budget
-                   ) -> "ExploredGraph":
-    return ExploredGraph(states, tuple(initial_ids),
-                         _as_q_array(offsets), _as_q_array(targets), budget)
-
-
 class ExploredGraph:
     """A frozen reachable snapshot graph in CSR form (picklable).
 
     ``states[i]`` is the snapshot with interned id ``i``; the successors
     of ``i`` are ``targets[offsets[i]:offsets[i+1]]``, in the exact
     order :func:`repro.runtime.step.successors` produced them.
-
-    ``offsets``/``targets`` are ``array('q')`` buffers; under pickle
-    protocol 5 they travel as :class:`pickle.PickleBuffer`, so
-    transports that support out-of-band buffers skip one copy.
+    ``offsets``/``targets`` are ``array('q')`` buffers.
     """
 
     __slots__ = ("states", "initial_ids", "offsets", "targets", "budget")
@@ -147,20 +112,6 @@ class ExploredGraph:
         itemsize = array("q").itemsize
         return (len(self.offsets) + len(self.targets)) * itemsize
 
-    def __reduce_ex__(self, protocol: int):
-        offsets = _as_q_array(self.offsets)
-        targets = _as_q_array(self.targets)
-        if protocol >= 5:
-            return (_rebuild_graph, (
-                self.states, tuple(self.initial_ids),
-                pickle.PickleBuffer(offsets), pickle.PickleBuffer(targets),
-                self.budget,
-            ))
-        return (_rebuild_graph, (
-            self.states, tuple(self.initial_ids), offsets, targets,
-            self.budget,
-        ))
-
 
 class SharedExploration:
     """One interned exploration, reused by every valuation's search.
@@ -172,15 +123,7 @@ class SharedExploration:
 
     def __init__(self, cache: TransitionCache) -> None:
         self.cache: TransitionCache | None = cache
-        self.composition: Composition = cache.composition
-        self.budget: SearchBudget = cache.budget
-        self.interner = StateInterner()
-        self._initial_ids: tuple[int, ...] | None = None
-        self._succ: dict[int, tuple[int, ...]] = {}
-        self._frozen: ExploredGraph | None = None
-        self._reuse_hits = counter("graph.reuse_hits")
-        from .atoms import SharedSnapshotContext
-        self.shared = SharedSnapshotContext(self.composition, self.interner)
+        self._start(cache.composition, cache.budget, None)
 
     @classmethod
     def from_graph(cls, graph: ExploredGraph,
@@ -188,16 +131,21 @@ class SharedExploration:
         """An exploration served entirely from a pre-expanded graph."""
         self = cls.__new__(cls)
         self.cache = None
+        self._start(composition, graph.budget, graph)
+        return self
+
+    def _start(self, composition: Composition, budget: SearchBudget,
+               graph: ExploredGraph | None) -> None:
         self.composition = composition
-        self.budget = graph.budget
-        self.interner = StateInterner(graph.states)
-        self._initial_ids = tuple(graph.initial_ids)
-        self._succ = {}
+        self.budget = budget
+        served = graph is not None
+        self.interner = StateInterner(graph.states if served else ())
+        self._initial_ids: tuple[int, ...] | None = (
+            tuple(graph.initial_ids) if served else None)
+        self._succ: dict[int, tuple[int, ...]] = {}
         self._frozen = graph
         self._reuse_hits = counter("graph.reuse_hits")
-        from .atoms import SharedSnapshotContext
         self.shared = SharedSnapshotContext(composition, self.interner)
-        return self
 
     @property
     def frozen(self) -> ExploredGraph | None:

@@ -37,11 +37,9 @@ from ..spec.composition import Composition
 from .domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
-from .graph import resolve_engine
 from .parallel import (
     SweepContext, SweepPayload, grid_tasks, resolve_workers, run_sweep,
 )
-from .product import SearchBudget
 from .result import VerificationResult
 
 
@@ -109,8 +107,7 @@ def _context(databases: Mapping[str, Instance],
 def _sweep(composition: Composition, contexts: Sequence[SweepContext],
            sentences: Sequence[LTLFOSentence], cells,
            semantics: ChannelSemantics,
-           workers: int | None, engine: str | None,
-           shard: tuple[int, int] | None,
+           workers: int | None, shard: tuple[int, int] | None,
            env_value_domain: Sequence[Value] | None = None,
            **options) -> list[VerificationResult]:
     """Build the payload and the task grid of *cells*; run the sweep."""
@@ -121,30 +118,18 @@ def _sweep(composition: Composition, contexts: Sequence[SweepContext],
         semantics=semantics,
         env_value_domain=(tuple(env_value_domain)
                           if env_value_domain is not None else None),
-        engine=resolve_engine(engine),
         **options,
     )
     tasks = grid_tasks(cells, shard)
     return run_sweep(payload, tasks, resolve_workers(workers))
 
 
-def verify(composition: Composition,
-           prop: LTLFOSentence | str,
+def verify(composition: Composition, prop: LTLFOSentence | str,
            databases: Mapping[str, Instance],
-           semantics: ChannelSemantics = DECIDABLE_DEFAULT,
-           domain: VerificationDomain | None = None,
-           check_input_bounded: bool = True,
-           budget: SearchBudget | None = None,
-           include_environment: bool = True,
-           valuation_candidates: Mapping[str, Sequence[Value]] | None = None,
-           env_value_domain: Sequence[Value] | None = None,
-           env_one_action_per_move: bool = True,
-           fair_scheduling: bool = False,
-           workers: int | None = None,
-           engine: str | None = None,
-           shard: tuple[int, int] | None = None,
-           ) -> VerificationResult:
+           **options) -> VerificationResult:
     """Decide ``composition |= prop`` over the given databases.
+
+    This is :func:`verify_all` of one property, with its keywords.
 
     Arguments
     ---------
@@ -182,15 +167,6 @@ def verify(composition: Composition,
         1; ``0``: all cores).  Verdicts and counterexamples are
         identical to the in-process sweep (see
         :mod:`repro.verifier.parallel`).
-    engine:
-        ``"shared"`` (default; overridable via ``REPRO_ENGINE``) runs
-        the search over a hash-consed exploration shared across
-        valuations -- the reachable graph is frozen into CSR form after
-        the first valuation and later valuations are pure graph walks
-        (see :mod:`repro.verifier.graph`).  ``"seed"`` is the original
-        per-valuation engine.  Verdicts, counterexamples, and search
-        node counts are identical either way (Theorem 3.4's graph is
-        valuation-independent).
     shard:
         ``(index, count)`` restricts the sweep to the valuations whose
         global order falls in this shard's residue class
@@ -198,20 +174,57 @@ def verify(composition: Composition,
         machines.  Each shard emits a fragment; ``repro merge-shards``
         reassembles the global verdict (see
         :mod:`repro.verifier.shards`).
+
+    :mod:`repro.verifier.reference` is the plain per-valuation checker
+    this sweep is tested against.
     """
-    sentence = _as_sentence(prop, composition)
-    _check_restrictions(composition, sentence, check_input_bounded)
-    if domain is None:
-        domain = verification_domain(composition, [sentence], databases)
-    return _sweep(
-        composition, [_context(databases, domain)], [sentence],
-        [(0, 0, _valuations(sentence, domain, valuation_candidates))],
-        semantics, workers, engine, shard, budget=budget,
-        include_environment=include_environment,
-        env_value_domain=env_value_domain,
-        env_one_action_per_move=env_one_action_per_move,
-        fair_scheduling=fair_scheduling,
-    )[0]
+    return verify_all(composition, [prop], databases, **options)[0]
+
+
+def verify_all(composition: Composition,
+               props: Sequence[LTLFOSentence | str],
+               databases: Mapping[str, Instance],
+               semantics: ChannelSemantics = DECIDABLE_DEFAULT,
+               domain: VerificationDomain | None = None,
+               check_input_bounded: bool = True,
+               valuation_candidates: Mapping[
+                   str, Sequence[Value]] | None = None,
+               workers: int | None = None,
+               shard: tuple[int, int] | None = None,
+               **options) -> list[VerificationResult]:
+    """Verify several properties sharing one transition-system exploration.
+
+    The keywords (and the *options* ``budget``, ``include_environment``,
+    ``env_value_domain``, ``env_one_action_per_move`` and
+    ``fair_scheduling``) mean what they mean for :func:`verify`.  Each
+    property gets the domain it would get alone; properties with equal
+    domains (the usual case) share one sweep, one task per (property,
+    valuation) and one result group per property.  In-process, one
+    exploration (interner, frozen graph, snapshot/letter caches) serves
+    the whole batch; a pool gets the graph pre-expanded once by the
+    driver.  Verdicts, counterexamples and search counters are identical
+    to verifying each property alone.
+    """
+    sentences = [_as_sentence(p, composition) for p in props]
+    for sentence in sentences:
+        _check_restrictions(composition, sentence, check_input_bounded)
+    domains = [
+        domain if domain is not None
+        else verification_domain(composition, [sentence], databases)
+        for sentence in sentences
+    ]
+    results: list[VerificationResult | None] = [None] * len(sentences)
+    for dom in dict.fromkeys(domains):
+        members = [i for i, d in enumerate(domains) if d == dom]
+        cells = [(group, 0, _valuations(sentences[i], dom,
+                                        valuation_candidates))
+                 for group, i in enumerate(members)]
+        swept = _sweep(composition, [_context(databases, dom)],
+                       [sentences[i] for i in members], cells, semantics,
+                       workers, shard, **options)
+        for i, result in zip(members, swept):
+            results[i] = result
+    return results
 
 
 def verify_over_databases(composition: Composition,
@@ -221,7 +234,6 @@ def verify_over_databases(composition: Composition,
                           max_rows: int = 1,
                           semantics: ChannelSemantics = DECIDABLE_DEFAULT,
                           workers: int | None = None,
-                          engine: str | None = None,
                           domain: VerificationDomain | None = None,
                           check_input_bounded: bool = True,
                           valuation_candidates: Mapping[
@@ -269,34 +281,4 @@ def verify_over_databases(composition: Composition,
                                       valuation_candidates))
              for ctx_idx, ctx in enumerate(contexts)]
     return _sweep(composition, contexts, [sentence], cells, semantics,
-                  workers, engine, shard, **options)[0]
-
-
-def verify_all(composition: Composition,
-               props: Sequence[LTLFOSentence | str],
-               databases: Mapping[str, Instance],
-               semantics: ChannelSemantics = DECIDABLE_DEFAULT,
-               domain: VerificationDomain | None = None,
-               check_input_bounded: bool = True,
-               budget: SearchBudget | None = None,
-               workers: int | None = None,
-               engine: str | None = None,
-               shard: tuple[int, int] | None = None,
-               ) -> list[VerificationResult]:
-    """Verify several properties sharing one transition-system exploration.
-
-    Every (property, valuation) pair is one task of a single sweep, one
-    result group per property.  In-process, one exploration (interner,
-    frozen graph, snapshot/letter caches) serves the whole batch; a pool
-    gets the graph pre-expanded once by the driver.  Verdicts and
-    counterexamples are identical to verifying each property alone.
-    """
-    sentences = [_as_sentence(p, composition) for p in props]
-    for sentence in sentences:
-        _check_restrictions(composition, sentence, check_input_bounded)
-    if domain is None:
-        domain = verification_domain(composition, sentences, databases)
-    cells = [(group, 0, canonical_valuations(sentence.variables, domain))
-             for group, sentence in enumerate(sentences)]
-    return _sweep(composition, [_context(databases, domain)], sentences,
-                  cells, semantics, workers, engine, shard, budget=budget)
+                  workers, shard, **options)[0]

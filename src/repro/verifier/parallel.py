@@ -57,8 +57,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from ..fo.instance import Instance
-from ..fo.terms import Value, Var, value_sort_key
-from ..ltl.formulas import land, latom, lfinally, lglobally, lnot
+from ..fo.terms import Value, Var
 from ..ltl.translate import ltl_to_buchi
 from ..ltlfo.formulas import LTLFOSentence
 from ..obs import (
@@ -74,10 +73,10 @@ from ..runtime.step import (
 )
 from ..spec.channels import ChannelSemantics
 from ..spec.composition import Composition
-from .atoms import InternedSnapshotEvaluator, OccursAtom, SnapshotEvaluator
+from .atoms import InternedSnapshotEvaluator, negated_instance
 from .domain import VerificationDomain
 from .graph import ExploredGraph, InternedProduct, SharedExploration
-from .product import ProductSystem, SearchBudget, TransitionCache
+from .product import SearchBudget, TransitionCache
 from .result import (
     Counterexample, TaskStats, VerificationResult, VerifierStats,
 )
@@ -130,8 +129,8 @@ def shard_filter(tasks: Sequence["SweepTask"],
 
     Partitioning is round-robin on the task order within each group
     (``order % N == i``): deterministic, balanced even when early
-    orders are systematically cheaper, and independent of the engine,
-    worker count, and batch size.  A merged N-shard run therefore
+    orders are systematically cheaper, and independent of the worker
+    count and batch size.  A merged N-shard run therefore
     covers exactly the unsharded task set, each task exactly once.
     """
     shard = resolve_shard(shard)
@@ -171,8 +170,6 @@ class SweepPayload:
     env_one_action_per_move: bool = True
     fair_scheduling: bool = False
     budget: SearchBudget | None = None
-    #: "shared" (interned exploration, frozen-graph reuse) or "seed".
-    engine: str = "shared"
     #: Pre-expanded reachable graph of context 0 (pool sweeps only).
     frozen_graph: ExploredGraph | None = None
 
@@ -261,7 +258,8 @@ class BatchOutcome:
     -- would otherwise die with a pool worker; the driver merges them
     into :class:`~repro.verifier.result.VerifierStats` so ``--stats``
     and ``repro profile`` report true totals at any worker count.
-    ``worker`` is empty for batches run in the driver.
+    ``worker`` is empty for batches run in the driver;
+    ``wall_seconds`` is the batch's elapsed time.
     """
 
     group: int
@@ -271,75 +269,39 @@ class BatchOutcome:
     rule_cache: dict
     counters: dict
     worker: str = ""
+    wall_seconds: float = 0.0
 
 
-def fairness_terms(composition: Composition) -> list:
-    """``/\\ GF move_W`` conjuncts restricting to fair runs."""
-    from ..fo.formulas import Atom
-    from ..fo.schema import move_name
-    return [
-        lglobally(lfinally(latom(Atom(move_name(p.name), ()))))
-        for p in composition.peers
-    ]
-
-
-def check_one_valuation(composition: Composition,
+def check_one_valuation(exploration: SharedExploration,
                         sentence: LTLFOSentence,
                         valuation: Mapping[Var, Value],
                         domain: VerificationDomain,
-                        cache: TransitionCache | None,
                         fair_scheduling: bool = False,
-                        should_stop=None,
-                        engine: SharedExploration | None = None
-                        ) -> ValuationOutcome:
+                        should_stop=None) -> ValuationOutcome:
     """Translate + search one valuation of the closure variables.
 
-    Instantiate the sentence, negate, conjoin the ``Dom(rho)``
-    ``F occurs(v)`` restrictions (and fairness terms if requested),
-    translate to a Büchi automaton, and search the on-the-fly product
-    for an accepting lasso.
-
-    With ``engine`` (a :class:`~repro.verifier.graph.SharedExploration`)
-    the product runs over interned state ids and the exploration's
-    shared snapshot/letter caches; lasso nodes are mapped back to
-    snapshots before returning, so the outcome is indistinguishable
-    from the seed path.
+    Translate the negated instance (:func:`negated_instance`) to a
+    Büchi automaton and search its product with the interned
+    exploration for an accepting lasso.  The product runs over state
+    ids and the exploration's shared snapshot/letter caches; lasso
+    nodes are mapped back to snapshots before returning.
     """
-    body = sentence.instantiate(valuation)
-    negated = lnot(body)
-    # Dom(rho) restriction: fresh valuation values must occur.  Sorted
-    # so the conjunct order (hence the GPVW translation) is identical
-    # across processes regardless of hash randomization.
-    occurs_terms = [
-        lfinally(latom(OccursAtom(v)))
-        for v in sorted(set(valuation.values()), key=value_sort_key)
-        if v not in domain.constants
-    ]
-    extra = fairness_terms(composition) if fair_scheduling else []
-    nba = ltl_to_buchi(land(negated, *occurs_terms, *extra))
-    if engine is not None:
-        evaluator = InternedSnapshotEvaluator(
-            composition, domain.values, nba.aps, engine.shared
-        )
-        product = InternedProduct(engine, nba, evaluator)
-    else:
-        assert cache is not None
-        evaluator = SnapshotEvaluator(composition, domain.values, nba.aps)
-        product = ProductSystem(cache, nba, evaluator)
-    lasso_nodes, search_stats = find_accepting_lasso(
-        product, should_stop=should_stop
+    nba = ltl_to_buchi(negated_instance(
+        exploration.composition, sentence, valuation, domain,
+        fair_scheduling))
+    evaluator = InternedSnapshotEvaluator(
+        exploration.composition, domain.values, nba.aps,
+        exploration.shared,
     )
-    if lasso_nodes is None:
-        return ValuationOutcome(None, None, nba.num_states(),
-                                search_stats.blue_visited,
-                                search_stats.red_visited)
-    if engine is not None:
-        state_of = engine.interner.state_of
+    lasso_nodes, search_stats = find_accepting_lasso(
+        InternedProduct(exploration, nba, evaluator),
+        should_stop=should_stop,
+    )
+    prefix = cycle = None
+    if lasso_nodes is not None:
+        state_of = exploration.interner.state_of
         prefix = tuple(state_of(n[0]) for n in lasso_nodes.prefix)
         cycle = tuple(state_of(n[0]) for n in lasso_nodes.cycle)
-    else:
-        prefix = tuple(n[0] for n in lasso_nodes.prefix)
-        cycle = tuple(n[0] for n in lasso_nodes.cycle)
     return ValuationOutcome(prefix, cycle, nba.num_states(),
                             search_stats.blue_visited,
                             search_stats.red_visited)
@@ -349,23 +311,25 @@ def check_one_valuation(composition: Composition,
 # running tasks (the same code in the driver and in pool workers)
 
 
-def _context_transition_cache(payload: SweepPayload,
-                              ctx_idx: int) -> TransitionCache:
+def _new_exploration(payload: SweepPayload,
+                     ctx_idx: int) -> SharedExploration:
+    if payload.frozen_graph is not None and ctx_idx == 0:
+        return SharedExploration.from_graph(payload.frozen_graph,
+                                            payload.composition)
     ctx = payload.contexts[ctx_idx]
-    return TransitionCache(
+    return SharedExploration(TransitionCache(
         payload.composition, dict(ctx.databases), ctx.domain.values,
         payload.semantics,
         include_environment=payload.include_environment,
         budget=payload.budget,
         env_value_domain=payload.env_value_domain,
         env_one_action_per_move=payload.env_one_action_per_move,
-    )
+    ))
 
 
 def _exploration(payload: SweepPayload, ctx_idx: int, contexts: dict
-                 ) -> tuple[TransitionCache | None,
-                            SharedExploration | None]:
-    """The ``(transition cache, shared engine)`` serving one context.
+                 ) -> SharedExploration:
+    """The interned exploration serving one context.
 
     A pre-expanded graph serves context 0 directly.  Otherwise the
     first task on a context explores lazily -- it may decide the verdict
@@ -378,20 +342,12 @@ def _exploration(payload: SweepPayload, ctx_idx: int, contexts: dict
     entry = contexts.get(ctx_idx)
     if entry is None:
         contexts.clear()
-        if payload.frozen_graph is not None and ctx_idx == 0:
-            entry = [None, SharedExploration.from_graph(
-                payload.frozen_graph, payload.composition), 0]
-        else:
-            cache = _context_transition_cache(payload, ctx_idx)
-            engine = (SharedExploration(cache)
-                      if payload.engine == "shared" else None)
-            entry = [cache, engine, 0]
-        contexts[ctx_idx] = entry
-    cache, engine, uses = entry
-    if uses == 1 and engine is not None:
-        engine.complete(strict=False)
-    entry[2] = uses + 1
-    return cache, engine
+        entry = contexts[ctx_idx] = [_new_exploration(payload, ctx_idx), 0]
+    exploration, uses = entry
+    if uses == 1:
+        exploration.complete(strict=False)
+    entry[1] = uses + 1
+    return exploration
 
 
 def _lower_cutoff(cancel, group: int, order: int) -> None:
@@ -409,14 +365,14 @@ def _run_task(payload: SweepPayload, task: SweepTask, cancel,
 
     if should_stop():
         return TaskOutcome(task, _NO_RESULT, cancelled=True)
-    cache, engine = _exploration(payload, task.ctx, contexts)
+    exploration = _exploration(payload, task.ctx, contexts)
     t0 = time.perf_counter()
     try:
         result = check_one_valuation(
-            payload.composition, payload.sentences[task.group],
+            exploration, payload.sentences[task.group],
             dict(task.valuation), payload.contexts[task.ctx].domain,
-            cache, fair_scheduling=payload.fair_scheduling,
-            should_stop=should_stop, engine=engine,
+            fair_scheduling=payload.fair_scheduling,
+            should_stop=should_stop,
         )
     except SearchCancelled:
         result = None
@@ -428,9 +384,8 @@ def _run_task(payload: SweepPayload, task: SweepTask, cancel,
                            wall_seconds=wall)
     if result.violated:
         _lower_cutoff(cancel, task.group, task.order)
-    expanded = (engine.states_expanded if engine is not None
-                else cache.states_expanded)
-    return TaskOutcome(task, result, states_expanded=expanded,
+    return TaskOutcome(task, result,
+                       states_expanded=exploration.states_expanded,
                        wall_seconds=wall)
 
 
@@ -469,13 +424,16 @@ def _advance(progress, outcome: TaskOutcome) -> None:
 def _run_batch(payload: SweepPayload, batch: Sequence[SweepTask], cancel,
                contexts: dict, window: _ObsWindow, worker: str = "",
                progress=NULL_PROGRESS) -> BatchOutcome:
+    t0 = time.perf_counter()
     outcomes = []
     for task in batch:
         outcome = _run_task(payload, task, cancel, contexts)
         outcomes.append(outcome)
         _advance(progress, outcome)
     return BatchOutcome(group=batch[0].group, tasks=tuple(outcomes),
-                        worker=worker, **window.take())
+                        worker=worker,
+                        wall_seconds=time.perf_counter() - t0,
+                        **window.take())
 
 
 # ---------------------------------------------------------------------------
@@ -568,17 +526,16 @@ def _mp_context():
 
 
 def _pre_expand(payload: SweepPayload) -> SweepPayload:
-    """Expand a single-context shared payload's graph in the driver.
+    """Expand a single-context payload's graph in the driver.
 
     The reachable snapshot graph is valuation-independent, so a pool
     expands it once here instead of once per worker.  Multi-context
     grids (database enumeration) skip this: contexts partition across
     workers, and each worker explores a context lazily.
     """
-    if payload.engine != "shared" or len(payload.contexts) != 1:
+    if len(payload.contexts) != 1:
         return payload
-    engine = SharedExploration(_context_transition_cache(payload, 0))
-    graph = engine.complete(strict=False)
+    graph = _new_exploration(payload, 0).complete(strict=False)
     if graph is None:
         return payload
     return replace(payload, frozen_graph=graph)
@@ -586,7 +543,7 @@ def _pre_expand(payload: SweepPayload) -> SweepPayload:
 
 def _run_in_process(payload: SweepPayload, ordered: Sequence[SweepTask],
                     progress) -> list[BatchOutcome]:
-    """The reference sweep: global order, one batch per (group, ctx)."""
+    """The in-process sweep: global order, one batch per (group, ctx)."""
     cancel = [_UNDECIDED] * len(payload.sentences)
     contexts: dict = {}
     return [
@@ -676,7 +633,8 @@ def run_sweep(payload: SweepPayload, tasks: Sequence[SweepTask],
     wall = time.perf_counter() - t0
     results = [
         _result_for_group(group, batches, payload,
-                          workers if pooled else 1, wall)
+                          workers if pooled else 1,
+                          wall if pooled else None)
         for group in range(len(payload.sentences))
     ]
     if results:
@@ -693,10 +651,13 @@ def run_sweep(payload: SweepPayload, tasks: Sequence[SweepTask],
 
 def _result_for_group(group: int, batches: Sequence[BatchOutcome],
                       payload: SweepPayload, workers: int,
-                      wall_seconds: float) -> VerificationResult:
+                      wall_seconds: float | None) -> VerificationResult:
     """Fold one group's batches into a result (lowest order wins).
 
-    Only tasks at or before the decisive (lowest violated) order count
+    ``wall_seconds`` is the pooled sweep's elapsed time, which every
+    group shares (its batches interleave with the other groups'); in
+    process (None) a group's time is the sum of its own batches.  Only
+    tasks at or before the decisive (lowest violated) order count
     toward the headline stats -- exactly the tasks the in-process sweep
     runs -- so ``product_nodes_visited`` is the same at any worker
     count.  Cancelled and extra tasks still appear in ``per_task``.
@@ -708,6 +669,8 @@ def _result_for_group(group: int, batches: Sequence[BatchOutcome],
                   key=lambda row: row[0].task.order)
     decisive = next((o for o, _ in rows if o.result.violated), None)
     cutoff = decisive.task.order if decisive is not None else _UNDECIDED
+    if wall_seconds is None:
+        wall_seconds = sum(b.wall_seconds for b in mine)
     stats = VerifierStats(workers=workers, wall_seconds=wall_seconds)
     for batch in mine:
         stats.merge_phases(batch.phase_seconds, batch.phase_counts)

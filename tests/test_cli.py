@@ -1,11 +1,13 @@
 """Tests for the command-line interface (python -m repro)."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.obs import counters_snapshot
 from repro.spec.dsl import load_properties
 
 SPEC = """
@@ -130,11 +132,55 @@ class TestSimulateCommand:
         assert "error:" in capsys.readouterr().err
 
 
+AUCTION = str(Path(__file__).parent.parent / "examples" / "specs"
+              / "auction.dws")
+
+
+def _untimed(out: str) -> list[str]:
+    """Verdict lines with their elapsed-time field dropped."""
+    return [re.sub(r", \d+\.\d+s\)$", ")", line)
+            for line in out.splitlines() if ": SATISFIED" in line
+            or ": VIOLATED" in line]
+
+
 class TestAuctionSpecProperties:
     def test_shipped_spec_verifies_via_cli(self, capsys):
-        spec = str(Path(__file__).parent.parent / "examples" / "specs"
-                   / "auction.dws")
-        assert main(["verify", spec]) == 0
+        assert main(["verify", AUCTION]) == 0
+
+    @pytest.mark.parametrize("command,lines", [
+        ("verify", [
+            "outcome_is_definite: SATISFIED  (states=35)",
+            "sold_meets_reserve: SATISFIED  (states=35)",
+        ]),
+        ("profile", [
+            "outcome_is_definite: SATISFIED  (valuations=141, states=35, "
+            "product nodes=5551)",
+            "sold_meets_reserve: SATISFIED  (valuations=26, states=35, "
+            "product nodes=990)",
+        ]),
+    ])
+    def test_document_explored_once(self, command, lines, tmp_path,
+                                    capsys):
+        """Both properties share one exploration of the 35-state graph
+        (one exploration per property expanded 70 states)."""
+        out = tmp_path / "m.json"
+        before = counters_snapshot().get("product.states_expanded", 0)
+        assert main([command, AUCTION, "--metrics-json", str(out)]) == 0
+        assert _untimed(capsys.readouterr().out) == lines
+        registry = json.loads(out.read_text())["registry"]
+        expanded = registry["counters"]["product.states_expanded"] - before
+        assert expanded == 35
+
+    def test_non_input_bounded_property_refused(self, tmp_path, capsys):
+        path = tmp_path / "unbounded.dws"
+        path.write_text(SPEC + "property unbounded:\n"
+                               "    G( exists y: R.got(y) )\n")
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert ("error: verification requires input-bounded "
+                "specifications (Theorem 3.4); violations:\n[property] "
+                "no input/prev-input/flat-queue guard atom covers the "
+                "quantified variables ['y']") in err
 
 
 @pytest.mark.obs

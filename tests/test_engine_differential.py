@@ -1,20 +1,22 @@
-"""Differential testing of the shared-exploration engine vs the seed.
+"""Differential testing of the production sweep vs the reference checker.
 
-The shared engine (``repro.verifier.graph``) must be observationally
-identical to the seed per-valuation engine: interning preserves
-successor order, initial-state order, and Büchi target order, so for
-every case the two engines agree on
+``verify`` (one shared, interned exploration driven by the task grid of
+:mod:`repro.verifier.parallel`) must be observationally identical to
+:func:`repro.verifier.verify_reference`, the plain per-valuation loop
+that shares none of its graph, letter-cache or grid code: interning
+preserves successor order, initial-state order, and Büchi target order,
+so for every case the two agree on
 
 * the verdict,
-* the decisive counterexample valuation and its lasso (which must also
-  replay as a legal run through the operational semantics,
-  :func:`repro.runtime.validate_lasso`), and
+* the decisive counterexample valuation, its ``decisive_order`` and its
+  lasso (which must also replay as a legal run through the operational
+  semantics, :func:`repro.runtime.validate_lasso`), and
 * the search node counts (``product_nodes_visited``) -- node for node,
   not just in aggregate.
 
 ``system_states`` is deliberately NOT compared: freezing expands the
-full reachable graph, while the seed's lazy product may prune (the NBA
-can block before the composition frontier is exhausted).
+full reachable graph, while the reference's lazy product may prune (the
+NBA can block before the composition frontier is exhausted).
 
 Alongside the library/synthetic grid, a hypothesis suite fuzzes the
 sender/receiver database contents and property choice, and unit tests
@@ -33,7 +35,7 @@ from repro.runtime import validate_lasso
 from repro.spec import Composition, DECIDABLE_DEFAULT, PeerBuilder
 from repro.verifier import (
     ExploredGraph, SharedExploration, TransitionCache,
-    verification_domain, verify,
+    verification_domain, verify, verify_reference,
 )
 
 
@@ -99,40 +101,46 @@ def _cases():
 CASES = _cases()
 
 
-def run_differential(comp, dbs, prop, candidates, expected):
-    dom = verification_domain(comp, [], dbs, fresh_count=1)
-    seed = verify(comp, prop, dbs, domain=dom,
-                  valuation_candidates=candidates, workers=1,
-                  engine="seed")
-    shared = verify(comp, prop, dbs, domain=dom,
-                    valuation_candidates=candidates, workers=1,
-                    engine="shared")
-    assert seed.satisfied == expected, seed.summary()
-    assert shared.satisfied == seed.satisfied, (
-        f"verdict diverged: seed={seed.verdict} shared={shared.verdict}"
+def assert_agree(reference, shared):
+    """Verdict, decisive order, counters and counterexample: identical."""
+    assert shared.satisfied == reference.satisfied, (
+        f"verdict diverged: reference={reference.verdict} "
+        f"shared={shared.verdict}"
     )
-    assert shared.stats.valuations_checked == seed.stats.valuations_checked
+    assert shared.stats.decisive_order == reference.stats.decisive_order
+    assert (shared.stats.valuations_checked
+            == reference.stats.valuations_checked)
     assert shared.stats.product_nodes_visited == \
-        seed.stats.product_nodes_visited, (
+        reference.stats.product_nodes_visited, (
             "nodes_visited diverged: "
-            f"seed={seed.stats.product_nodes_visited} "
+            f"reference={reference.stats.product_nodes_visited} "
             f"shared={shared.stats.product_nodes_visited}"
         )
-    if expected:
-        assert seed.counterexample is None
+    if reference.counterexample is None:
         assert shared.counterexample is None
         return
-    assert seed.counterexample is not None
     assert shared.counterexample is not None
-    assert shared.counterexample.valuation == seed.counterexample.valuation
+    assert (shared.counterexample.valuation
+            == reference.counterexample.valuation)
     assert shared.counterexample.lasso.prefix == \
-        seed.counterexample.lasso.prefix
+        reference.counterexample.lasso.prefix
     assert shared.counterexample.lasso.cycle == \
-        seed.counterexample.lasso.cycle
-    problems = validate_lasso(comp, dbs, dom.values,
-                              shared.counterexample.lasso,
-                              semantics=DECIDABLE_DEFAULT)
-    assert not problems, problems
+        reference.counterexample.lasso.cycle
+
+
+def run_differential(comp, dbs, prop, candidates, expected):
+    dom = verification_domain(comp, [], dbs, fresh_count=1)
+    reference = verify_reference(comp, prop, dbs, domain=dom,
+                                 valuation_candidates=candidates)
+    shared = verify(comp, prop, dbs, domain=dom,
+                    valuation_candidates=candidates, workers=1)
+    assert reference.satisfied == expected, reference.summary()
+    assert_agree(reference, shared)
+    if not expected:
+        problems = validate_lasso(comp, dbs, dom.values,
+                                  shared.counterexample.lasso,
+                                  semantics=DECIDABLE_DEFAULT)
+        assert not problems, problems
 
 
 @pytest.mark.parametrize(
@@ -152,7 +160,7 @@ SR_PROPERTIES = [
 
 
 class TestHypothesisDifferential:
-    """Random databases and properties: the engines must never diverge."""
+    """Random databases and properties: sweep and reference agree."""
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -166,16 +174,8 @@ class TestHypothesisDifferential:
         dbs = {"S": Instance({"items": [(v,) for v in sorted(rows)]})}
         prop = SR_PROPERTIES[prop_idx]
         dom = verification_domain(comp, [], dbs, fresh_count=1)
-        seed = verify(comp, prop, dbs, domain=dom, engine="seed")
-        shared = verify(comp, prop, dbs, domain=dom, engine="shared")
-        assert shared.satisfied == seed.satisfied
-        assert shared.stats.product_nodes_visited == \
-            seed.stats.product_nodes_visited
-        if seed.counterexample is not None:
-            assert shared.counterexample.valuation == \
-                seed.counterexample.valuation
-            assert shared.counterexample.lasso.cycle == \
-                seed.counterexample.lasso.cycle
+        assert_agree(verify_reference(comp, prop, dbs, domain=dom),
+                     verify(comp, prop, dbs, domain=dom))
 
     @settings(max_examples=6, deadline=None)
     @given(relays=st.integers(min_value=0, max_value=2))
@@ -185,11 +185,8 @@ class TestHypothesisDifferential:
         for prop in (synthetic.chain_safety_property(relays),
                      synthetic.chain_liveness_property(relays)):
             dom = verification_domain(comp, [], dbs, fresh_count=1)
-            seed = verify(comp, prop, dbs, domain=dom, engine="seed")
-            shared = verify(comp, prop, dbs, domain=dom, engine="shared")
-            assert shared.satisfied == seed.satisfied
-            assert shared.stats.product_nodes_visited == \
-                seed.stats.product_nodes_visited
+            assert_agree(verify_reference(comp, prop, dbs, domain=dom),
+                         verify(comp, prop, dbs, domain=dom))
 
 
 class TestGraphMachinery:

@@ -1,7 +1,7 @@
 """The scenario factory: generator, oracle harness, shrinker, CLI.
 
 The load-bearing test is the *mutation* one: a deliberately buggy
-verify hook (the seed engine's verdicts flipped) must be caught by the
+verify hook (production verdicts flipped) must be caught by the
 engine-differential oracle and shrunk to a minimized, replayable
 ``.dws`` reproducer.  A fuzzer whose oracles cannot catch a planted bug
 is just a random-spec pretty-printer.
@@ -77,21 +77,21 @@ def test_unverifiable_row_runs_static_oracles_only():
     assert not outcome.verified
 
 
-def _flip_seed_verdicts(comp, prop, dbs, **kwargs):
-    """A planted engine bug: the seed engine reports violations as
-    satisfied (dropping the counterexample), everything else honest."""
+def _flip_verdicts(comp, prop, dbs, **kwargs):
+    """A planted production bug: ``verify`` reports violations as
+    satisfied (dropping the counterexample)."""
     result = verify(comp, prop, dbs, **kwargs)
-    if kwargs.get("engine") == "seed" and not result.satisfied:
+    if not result.satisfied:
         return dataclasses.replace(
             result, satisfied=True, counterexample=None)
     return result
 
 
 def test_mutation_caught_and_shrunk(tmp_path):
-    """The differential oracle catches a planted seed-engine bug and
-    the shrinker produces a minimized .dws reproducer."""
+    """The differential oracle catches a bug planted in the production
+    ``verify`` and the shrinker produces a minimized .dws reproducer."""
     report = fuzz(count=2, seed=0, rows=("3.4",),
-                  corpus_dir=tmp_path, verify_hook=_flip_seed_verdicts)
+                  corpus_dir=tmp_path, verify_hook=_flip_verdicts)
     assert not report.ok, "planted bug escaped the oracle stack"
     failing = report.failures[0]
     assert "engine-differential" in failing.oracles_failed()
@@ -105,7 +105,7 @@ def test_mutation_caught_and_shrunk(tmp_path):
         assert "engine-differential" in text  # violation noted in header
 
     # minimization is strict: no smaller spec still trips the oracle
-    minimized = minimize(failing, verify_hook=_flip_seed_verdicts)
+    minimized = minimize(failing, verify_hook=_flip_verdicts)
     original = failing.spec
     orig_rules = sum(len(p.rules) for p in original.composition.peers)
     mini_rules = sum(len(p.rules) for p in minimized.composition.peers)

@@ -2,9 +2,9 @@
 
 Each domain documents two satisfied and two violated LTL-FO properties
 (the violated ones are races the lossy semantics makes real).  The
-verdicts must be identical under the ``seed`` engine, the ``shared``
-engine, and a worker pool -- the same determinism contract the fuzzer
-checks on random specs, pinned here on the curated ones.
+verdicts must be identical under the reference checker, the
+in-process sweep, and a worker pool -- the same determinism contract
+the fuzzer checks on random specs, pinned here on the curated ones.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 
 from repro.library import dispatch, payments
 from repro.runtime import validate_lasso
-from repro.verifier import verification_domain, verify
+from repro.verifier import verification_domain, verify, verify_reference
 
 PAYMENT_PROPERTIES = [
     (payments.PROPERTY_CAPTURE_CLEARED, True),
@@ -53,18 +53,20 @@ def test_documented_verdicts(name):
 
 @pytest.mark.parametrize("name", ["payments", "dispatch"])
 def test_engines_and_workers_agree(name):
-    """seed engine, shared engine, and a 2-worker pool: same answers."""
+    """Reference checker, in-process sweep, and a 2-worker pool: same
+    answers."""
     comp, dbs, candidates, expected = _domain_case(name)
     for prop, _satisfied in expected:
         shared = verify(comp, prop, dbs,
-                        valuation_candidates=candidates,
-                        engine="shared")
-        seeded = verify(comp, prop, dbs,
-                        valuation_candidates=candidates, engine="seed")
+                        valuation_candidates=candidates, workers=1)
+        reference = verify_reference(comp, prop, dbs,
+                                     valuation_candidates=candidates)
         pooled = verify(comp, prop, dbs,
                         valuation_candidates=candidates, workers=2)
-        for other in (seeded, pooled):
+        for other in (reference, pooled):
             assert other.verdict == shared.verdict
+            assert (other.stats.decisive_order
+                    == shared.stats.decisive_order)
             assert (other.stats.valuations_checked
                     == shared.stats.valuations_checked)
             assert (other.stats.product_nodes_visited

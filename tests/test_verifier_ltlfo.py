@@ -1,5 +1,7 @@
 """End-to-end tests of the LTL-FO verifier (Theorem 3.4's procedure)."""
 
+import time
+
 import pytest
 
 from repro.errors import InputBoundednessError, VerificationError
@@ -166,6 +168,31 @@ class TestVerifyAll:
             DB,
         )
         assert [bool(r) for r in results] == [True, True]
+
+    def test_each_property_gets_its_own_domain(self, sender_receiver):
+        """A constant named by one property does not widen another's
+        domain: every result equals verifying that property alone."""
+        props = ["forall x: G( R.got(x) -> S.items(x) )",
+                 'G ~R.got("zz")']
+        results = verify_all(sender_receiver, props, DB, workers=1)
+        for prop, together in zip(props, results):
+            alone = verify(sender_receiver, prop, DB, workers=1)
+            assert together.verdict == alone.verdict
+            assert (together.stats.valuations_checked
+                    == alone.stats.valuations_checked)
+            assert (together.stats.product_nodes_visited
+                    == alone.stats.product_nodes_visited)
+            assert together.domain_description == alone.domain_description
+
+    def test_each_property_reports_its_own_time(self, sender_receiver):
+        props = ["forall x: G( R.got(x) -> S.items(x) )",
+                 "forall x: G( S.pick(x) -> F R.got(x) )"]
+        t0 = time.perf_counter()
+        results = verify_all(sender_receiver, props, DB, workers=1)
+        wall = time.perf_counter() - t0
+        times = [r.stats.wall_seconds for r in results]
+        assert all(t > 0 for t in times), times
+        assert sum(times) <= wall
 
 
 class TestVerifyOverDatabases:
