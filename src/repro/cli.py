@@ -711,7 +711,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_merge_shards(args: argparse.Namespace) -> int:
     from .obs import merge_registry_snapshot
-    from .verifier import merge_fragments, result_from_merged
+    from .verifier import merge_fragments
 
     fragments = []
     for path in args.fragments:
@@ -736,28 +736,28 @@ def cmd_merge_shards(args: argparse.Namespace) -> int:
     # anything else reading REGISTRY) reports fleet-wide totals
     merge_registry_snapshot(merged["metrics"])
 
+    # the lines come from the merged JSON alone: fragments may come from
+    # other machines, and their pickled counterexamples are never loaded
     all_ok = True
     entries: list[dict] = []
     for entry in merged["properties"]:
-        result = result_from_merged(entry)
-        stats = result.stats
+        stats = entry["stats"]
         where = ""
         if entry["decisive_shard"] is not None:
             where = (f", decisive: order {entry['decisive_order']} "
                      f"in shard {entry['decisive_shard']}")
-        print(f"{result.property_text}: {result.verdict}  "
-              f"(valuations={stats.valuations_checked}, "
-              f"states={stats.system_states}, "
-              f"product nodes={stats.product_nodes_visited}{where})")
-        if not result.satisfied:
+        print(f"{entry['property']}: {entry['verdict']}  "
+              f"(valuations={stats['valuations_checked']}, "
+              f"states={stats['system_states']}, "
+              f"product nodes={stats['product_nodes_visited']}{where})")
+        if not entry["satisfied"]:
             all_ok = False
             if args.counterexample and entry["counterexample"]:
                 print(entry["counterexample"]["text"])
         entries.append({
             "property": entry["property"],
             "verdict": entry["verdict"],
-            "stats": dict(entry["stats"],
-                          decisive_order=entry["decisive_order"]),
+            "stats": dict(stats, decisive_order=entry["decisive_order"]),
         })
     if args.output:
         Path(args.output).write_text(json.dumps(merged, indent=2) + "\n")

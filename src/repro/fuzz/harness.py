@@ -10,7 +10,7 @@ of its verdict:
 2. **Round-trip** -- the spec serializes to ``.dws`` text and parses
    back structurally equal (peers, databases, property texts); this is
    load-bearing for corpus replay.
-3. **Engine differential** -- the production ``verify`` and the
+3. **Engine differential** -- the production ``verify_all`` and the
    standalone reference checker (:func:`repro.verifier.verify_reference`)
    agree bit-for-bit: verdict, decisive order, valuation/node counts,
    decisive valuation, and counterexample lasso.
@@ -26,9 +26,11 @@ Oracles 3-6 only run where the configuration is verifiable (bounded
 queues); row 3.5 runs them with the IB pre-check disabled, which is
 exactly the bug-finding-stays-sound claim of the paper's Section 3.
 
-The ``verify_hook`` seam stands in for every production ``verify`` call
-(never for the reference) and exists for the mutation test in the
-suite: a deliberately buggy wrapper injected there must be caught by the
+Each production run -- sequential, 2-worker, and each shard -- is one
+``verify_all`` over all of the spec's properties; the reference runs
+per property.  The ``verify_hook`` seam stands in for every production
+``verify_all`` call (never for the reference) and exists for the
+mutation test in the suite: a deliberately buggy wrapper injected there must be caught by the
 differential oracle and shrunk to a minimized reproducer.
 """
 
@@ -42,13 +44,14 @@ from ..obs import campaign_progress, instant
 from ..runtime import validate_lasso
 from ..verifier import (
     merge_fragments, result_from_merged, shard_fragment,
-    verification_domain, verify, verify_reference,
+    verification_domain, verify_all, verify_reference,
 )
 from .generate import GeneratedSpec, generate
 from .shrink import shrink
 
-#: Signature of the verification seam: ``verify`` plus keyword options.
-VerifyHook = Callable[..., object]
+#: Signature of the verification seam: ``verify_all`` plus keyword
+#: options (one result per property).
+VerifyHook = Callable[..., list]
 
 
 @dataclass(frozen=True)
@@ -204,25 +207,55 @@ def _compare_results(reference, other, what: str) -> list[str]:
     return [f"{what}: {p}" for p in problems]
 
 
+def _run_production(verify_hook: VerifyHook, spec: GeneratedSpec,
+                    texts: Sequence[str], oracle: str, what: str,
+                    out: list[OracleViolation], **kwargs) -> list | None:
+    """One production ``verify_all`` over the spec's properties."""
+    try:
+        return verify_hook(spec.composition, texts, spec.databases,
+                           **kwargs)
+    except Exception as err:
+        out.append(OracleViolation(oracle, f"{what} crashed: {err!r}"))
+        return None
+
+
 def _verify_oracles(spec: GeneratedSpec,
                     verify_hook: VerifyHook) -> list[OracleViolation]:
     comp, dbs = spec.composition, spec.databases
     domain = verification_domain(comp, [], dbs, fresh_count=1)
+    names = sorted(spec.properties)
+    texts = [spec.properties[n] for n in names]
+    kwargs = dict(
+        semantics=spec.semantics, domain=domain,
+        check_input_bounded=spec.check_input_bounded,
+    )
     out: list[OracleViolation] = []
 
-    for name, text in sorted(spec.properties.items()):
-        kwargs = dict(
-            semantics=spec.semantics, domain=domain,
-            check_input_bounded=spec.check_input_bounded,
-        )
-        try:
-            production = verify_hook(comp, text, dbs, **kwargs)
-        except Exception as err:
-            out.append(OracleViolation(
-                "engine", f"{name}: sequential verify crashed: {err!r}"
-            ))
-            continue
+    productions = _run_production(verify_hook, spec, texts, "engine",
+                                  "sequential verify_all", out, **kwargs)
+    if productions is None:
+        return out
+    # distribution: a worker pool and a merged shard split, each one
+    # verify_all over every property
+    pooled = _run_production(verify_hook, spec, texts, "workers",
+                             "2-worker sweep", out, workers=2, **kwargs)
+    merged = None
+    try:
+        fragments = [
+            shard_fragment(verify_hook(comp, texts, dbs, shard=(index, 2),
+                                       **kwargs),
+                           (index, 2), composition=comp)
+            for index in range(2)
+        ]
+        merged = [result_from_merged(entry) for entry in
+                  merge_fragments(fragments)["properties"]]
+    except Exception as err:
+        out.append(OracleViolation(
+            "shard", f"shard/merge crashed: {err!r}"
+        ))
 
+    for i, name in enumerate(names):
+        production = productions[i]
         expected = spec.expected_verdicts.get(name)
         if expected is not None and production.satisfied != expected:
             out.append(OracleViolation(
@@ -235,7 +268,7 @@ def _verify_oracles(spec: GeneratedSpec,
         # engine differential: the standalone per-valuation reference
         # checker against the production sweep
         try:
-            reference = verify_reference(comp, text, dbs, **kwargs)
+            reference = verify_reference(comp, texts[i], dbs, **kwargs)
         except Exception as err:
             out.append(OracleViolation(
                 "engine-differential",
@@ -247,41 +280,15 @@ def _verify_oracles(spec: GeneratedSpec,
                        for p in _compare_results(
                            reference, production,
                            f"{name} reference-vs-production"))
-
-        # distribution: a worker pool and a merged shard split
-        try:
-            pooled = verify_hook(comp, text, dbs, workers=2, **kwargs)
-        except Exception as err:
-            out.append(OracleViolation(
-                "workers", f"{name}: 2-worker sweep crashed: {err!r}"
-            ))
-            pooled = None
         if pooled is not None:
             out.extend(OracleViolation("workers", p)
                        for p in _compare_results(
-                           production, pooled, f"{name} workers=2"))
-
-        try:
-            fragments = []
-            for index in range(2):
-                shard_result = verify_hook(
-                    comp, text, dbs, shard=(index, 2), **kwargs
-                )
-                fragments.append(shard_fragment(
-                    [shard_result], (index, 2), composition=comp
-                ))
-            merged = result_from_merged(
-                merge_fragments(fragments)["properties"][0]
-            )
-        except Exception as err:
-            out.append(OracleViolation(
-                "shard", f"{name}: shard/merge crashed: {err!r}"
-            ))
-            merged = None
+                           production, pooled[i], f"{name} workers=2"))
         if merged is not None:
             out.extend(OracleViolation("shard", p)
                        for p in _compare_results(
-                           production, merged, f"{name} merged 2 shards"))
+                           production, merged[i],
+                           f"{name} merged 2 shards"))
 
         # replay: the counterexample must be a genuine lossy run
         if production.counterexample is not None:
@@ -303,7 +310,7 @@ def _verify_oracles(spec: GeneratedSpec,
 
 
 def run_case(spec: GeneratedSpec,
-             verify_hook: VerifyHook = verify) -> CaseOutcome:
+             verify_hook: VerifyHook = verify_all) -> CaseOutcome:
     """Run one generated spec through the full oracle stack."""
     outcome = CaseOutcome(spec=spec)
     outcome.violations.extend(_classifier_oracle(spec))
@@ -324,7 +331,7 @@ def _still_fails(oracles: frozenset[str],
 
 
 def minimize(outcome: CaseOutcome,
-             verify_hook: VerifyHook = verify) -> GeneratedSpec:
+             verify_hook: VerifyHook = verify_all) -> GeneratedSpec:
     """Shrink a failing case while its oracle violations persist."""
     return shrink(
         outcome.spec,
@@ -337,7 +344,7 @@ def fuzz(count: int = 25,
          rows: Sequence[str] = ("3.4",),
          corpus_dir: str | Path | None = None,
          emit_dir: str | Path | None = None,
-         verify_hook: VerifyHook = verify,
+         verify_hook: VerifyHook = verify_all,
          log: Callable[[str], None] | None = None) -> FuzzReport:
     """Run a fuzz campaign: *count* cases round-robin over *rows*.
 

@@ -304,6 +304,20 @@ class BuchiAutomaton:
             self.aps,
         )
 
+    def relabel(self, labels: Mapping[AP, AP]) -> "BuchiAutomaton":
+        """A copy whose guards read ``labels[ap]`` for each AP (APs with
+        equal labels become one); states and edge order are kept."""
+
+        def guard(g: Guard) -> Guard:
+            return Guard(frozenset(labels[a] for a in g.pos),
+                         frozenset(labels[a] for a in g.neg))
+
+        return BuchiAutomaton(
+            self.states, self.initial,
+            (Edge(e.src, guard(e.guard), e.dst) for e in self.all_edges()),
+            self.accepting, (labels[a] for a in self.aps),
+        )
+
     def __repr__(self) -> str:
         return (f"BuchiAutomaton(states={len(self.states)}, "
                 f"edges={self.num_edges()}, "

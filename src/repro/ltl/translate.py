@@ -30,13 +30,18 @@ _INIT = "__init__"
 
 @dataclass
 class _Node:
-    """A GPVW tableau node under construction."""
+    """A GPVW tableau node under construction.
+
+    The formula sets are insertion-ordered (dict keys), so the expansion
+    order -- and with it the automaton's state numbering, edge order and
+    acceptance order -- does not follow ``PYTHONHASHSEED``.
+    """
 
     name: int
-    incoming: set
-    new: set
-    old: set
-    next: set
+    incoming: dict
+    new: dict
+    old: dict
+    next: dict
 
 
 def _is_literal(f: LTLFormula) -> bool:
@@ -75,57 +80,51 @@ def _expand(node: _Node, nodes: list[_Node],
             nodes.append(cur)
             successor = _Node(
                 name=next(counter),
-                incoming={cur.name},
-                new=set(cur.next),
-                old=set(),
-                next=set(),
+                incoming={cur.name: None},
+                new=dict(cur.next),
+                old={},
+                next={},
             )
             stack.append(successor)
             continue
 
-        eta = cur.new.pop()
+        eta, _ = cur.new.popitem()
         if _is_literal(eta):
             if isinstance(eta, LFalse) or _negated(eta) in cur.old:
                 continue  # contradictory node: discard
             if not isinstance(eta, LTrue):
-                cur.old.add(eta)
+                cur.old[eta] = None
             stack.append(cur)
         elif isinstance(eta, LAnd):
             for part in (eta.left, eta.right):
                 if part not in cur.old:
-                    cur.new.add(part)
-            cur.old.add(eta)
+                    cur.new[part] = None
+            cur.old[eta] = None
             stack.append(cur)
         elif isinstance(eta, LNext):
-            cur.next.add(eta.body)
-            cur.old.add(eta)
+            cur.next[eta.body] = None
+            cur.old[eta] = None
             stack.append(cur)
         elif isinstance(eta, (LOr, LUntil, LRelease)):
             if isinstance(eta, LOr):
-                new1 = {eta.left}
-                new2 = {eta.right}
-                next1: set = set()
+                new1, new2, next1 = (eta.left,), (eta.right,), ()
             elif isinstance(eta, LUntil):
-                new1 = {eta.left}
-                new2 = {eta.right}
-                next1 = {eta}
+                new1, new2, next1 = (eta.left,), (eta.right,), (eta,)
             else:  # LRelease
-                new1 = {eta.right}
-                new2 = {eta.left, eta.right}
-                next1 = {eta}
+                new1, new2, next1 = (eta.right,), (eta.left, eta.right), (eta,)
             node1 = _Node(
                 name=next(counter),
-                incoming=set(cur.incoming),
-                new=cur.new | (new1 - cur.old),
-                old=cur.old | {eta},
-                next=cur.next | next1,
+                incoming=dict(cur.incoming),
+                new=cur.new | {f: None for f in new1 if f not in cur.old},
+                old=cur.old | {eta: None},
+                next=cur.next | dict.fromkeys(next1),
             )
             node2 = _Node(
                 name=next(counter),
-                incoming=set(cur.incoming),
-                new=cur.new | (new2 - cur.old),
-                old=cur.old | {eta},
-                next=set(cur.next),
+                incoming=dict(cur.incoming),
+                new=cur.new | {f: None for f in new2 if f not in cur.old},
+                old=cur.old | {eta: None},
+                next=dict(cur.next),
             )
             stack.append(node2)
             stack.append(node1)
@@ -154,10 +153,10 @@ def ltl_to_generalized_buchi(formula: LTLFormula) -> GeneralizedBuchi:
     nodes: list[_Node] = []
     root = _Node(
         name=next(counter),
-        incoming={_INIT},
-        new={nnf},
-        old=set(),
-        next=set(),
+        incoming={_INIT: None},
+        new={nnf: None},
+        old={},
+        next={},
     )
     _expand(root, nodes, counter)
 

@@ -145,6 +145,41 @@ class MetricsRegistry:
         self.phase_seconds.clear()
         self.phase_counts.clear()
 
+    def merge_snapshot(self, snapshot: Mapping) -> None:
+        """Fold a ``repro.metrics/1``-or-``/2`` snapshot into this registry.
+
+        Counters and phases add; gauges take the maximum (they are
+        high-water marks or sizes of per-process structures, where
+        "largest seen anywhere" is the honest merge); histograms add
+        bucket-wise when boundaries agree and are skipped otherwise
+        (mismatched boundaries cannot be combined losslessly).
+        """
+        schema = snapshot.get("schema")
+        if schema not in COMPAT_SCHEMAS:
+            raise ValueError(
+                f"cannot merge metrics snapshot with schema {schema!r}; "
+                f"expected one of {sorted(COMPAT_SCHEMAS)}"
+            )
+        for name, value in snapshot.get("counters", {}).items():
+            self.counter(name).inc(value)
+        for name, value in snapshot.get("gauges", {}).items():
+            gauge = self._gauges.get(name)
+            if gauge is None:
+                self.gauge(name).set(value)
+            else:
+                gauge.set_max(value)
+        for name, snap in snapshot.get("histograms", {}).items():
+            hist = self.histogram(name, tuple(snap["boundaries"]))
+            if hist.boundaries != tuple(snap["boundaries"]):
+                continue
+            for i, count in enumerate(snap["counts"]):
+                hist.counts[i] += count
+            hist.total += snap["sum"]
+            hist.count += snap["count"]
+        for name, entry in snapshot.get("phases", {}).items():
+            merge_numeric(self.phase_seconds, {name: entry["seconds"]})
+            merge_numeric(self.phase_counts, {name: entry["count"]})
+
     def snapshot(self) -> dict:
         """A JSON-able snapshot of everything recorded in this process.
 
@@ -199,37 +234,15 @@ def merge_counters(delta: Mapping) -> None:
 
 
 def merge_registry_snapshot(snapshot: Mapping) -> None:
-    """Fold a full ``repro.metrics/1``-or-``/2`` snapshot into this registry.
+    """Fold a full ``repro.metrics/1``-or-``/2`` snapshot into this
+    process's registry (:meth:`MetricsRegistry.merge_snapshot`).
 
     The shard-merge primitive: each shard of a distributed sweep writes
     ``REGISTRY.snapshot()`` into its fragment, and ``repro merge-shards``
-    replays every fragment through this function to reconstruct
-    fleet-wide totals.  Counters and phases add; gauges take the
-    maximum (they are high-water marks or sizes of per-process
-    structures, where "largest seen anywhere" is the honest merge);
-    histograms add bucket-wise when boundaries agree and are skipped
-    otherwise (mismatched boundaries cannot be combined losslessly).
+    replays the merged fragments through this function to report
+    fleet-wide totals.
     """
-    schema = snapshot.get("schema")
-    if schema not in COMPAT_SCHEMAS:
-        raise ValueError(
-            f"cannot merge metrics snapshot with schema {schema!r}; "
-            f"expected one of {sorted(COMPAT_SCHEMAS)}"
-        )
-    merge_counters(snapshot.get("counters", {}))
-    for name, value in snapshot.get("gauges", {}).items():
-        REGISTRY.gauge(name).set_max(value)
-    for name, snap in snapshot.get("histograms", {}).items():
-        hist = REGISTRY.histogram(name, tuple(snap["boundaries"]))
-        if hist.boundaries != tuple(snap["boundaries"]):
-            continue
-        for i, count in enumerate(snap["counts"]):
-            hist.counts[i] += count
-        hist.total += snap["sum"]
-        hist.count += snap["count"]
-    for name, entry in snapshot.get("phases", {}).items():
-        merge_numeric(REGISTRY.phase_seconds, {name: entry["seconds"]})
-        merge_numeric(REGISTRY.phase_counts, {name: entry["count"]})
+    REGISTRY.merge_snapshot(snapshot)
 
 
 def merge_numeric(into: dict, extra: Mapping) -> dict:

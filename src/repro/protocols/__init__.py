@@ -4,10 +4,12 @@ from .base import (
     AgnosticProtocol, DataAwareProtocol, Observer, guards_from_formula,
     protocol_automaton,
 )
-from .verify import CallbackEvaluator, trace_of, verify_agnostic, verify_aware
+from .verify import (
+    ProtocolRefutation, trace_of, verify_agnostic, verify_aware,
+)
 
 __all__ = [
-    "AgnosticProtocol", "CallbackEvaluator", "DataAwareProtocol",
-    "Observer", "guards_from_formula", "protocol_automaton", "trace_of",
-    "verify_agnostic", "verify_aware",
+    "AgnosticProtocol", "DataAwareProtocol", "Observer",
+    "ProtocolRefutation", "guards_from_formula", "protocol_automaton",
+    "trace_of", "verify_agnostic", "verify_aware",
 ]

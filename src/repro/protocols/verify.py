@@ -4,80 +4,90 @@ A composition satisfies a conversation protocol iff every run's trace is
 accepted by the protocol automaton.  Verification searches the product of
 the composition's snapshot graph with an automaton for the *complement*
 of the protocol language (negated LTL, or rank/DBA complementation for
-automaton-given protocols) for an accepting lasso.
+automaton-given protocols) for an accepting lasso.  That search is the
+LTL-FO verifier's valuation sweep
+(:func:`~repro.verifier.ltlfo_verifier.refute`) over a
+:class:`ProtocolRefutation`: the violation automaton with its symbols
+relabelled to what the evaluators read -- channel events
+(:class:`~repro.verifier.atoms.EventAtom`) for data-agnostic protocols,
+the instantiated closed FO sentences for data-aware ones.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from ..errors import VerificationError
 from ..fo import formulas as fo
-from ..fo.evaluator import evaluate
 from ..fo.instance import Instance
+from ..fo.terms import Var
 from ..ltl.buchi import BuchiAutomaton
-from ..ltl.formulas import land, latom, lfinally
+from ..ltl.formulas import land
 from ..ltl.translate import ltl_to_buchi
-from ..obs import diff_numeric, phase_counts, phase_seconds
 from ..runtime.run import Lasso
-from ..runtime.step import rule_cache_delta, rule_cache_info
-from ..runtime.state import GlobalState, snapshot_view
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
-from ..verifier.atoms import OccursAtom
+from ..verifier.atoms import EventAtom
 from ..verifier.domain import (
-    VerificationDomain, canonical_valuations, verification_domain,
+    VerificationDomain, verification_domain, with_constants,
 )
-from ..verifier.product import ProductSystem, SearchBudget, TransitionCache
-from ..verifier.result import (
-    Counterexample, Stopwatch, VerificationResult, VerifierStats,
-)
-from ..verifier.search import find_accepting_lasso
+from ..verifier.ltlfo_verifier import refute
+from ..verifier.product import SearchBudget
+from ..verifier.refutation import occurs_terms
+from ..verifier.result import VerificationResult
 from .base import AgnosticProtocol, DataAwareProtocol, Observer
 
 
-class CallbackEvaluator:
-    """Per-state AP valuation driven by a callback, with caching.
+@dataclass(frozen=True)
+class ProtocolRefutation:
+    """Refute a conversation protocol (see :mod:`repro.verifier.refutation`).
 
-    Duck-type compatible with
-    :class:`~repro.verifier.atoms.SnapshotEvaluator` as used by
-    :class:`~repro.verifier.product.ProductSystem`.
+    ``violation`` accepts the symbol traces violating the protocol.  Per
+    valuation its symbols become the data-aware ``symbols`` instantiated
+    by the valuation, or -- without symbols -- channel events seen by
+    the observer; a valuation's fresh values add ``F occurs(v)`` by
+    intersection.
     """
 
-    def __init__(self, aps: frozenset,
-                 truth: Callable[[Hashable, GlobalState], bool]) -> None:
-        self.aps = aps
-        self._truth = truth
-        self._cache: dict[GlobalState, frozenset] = {}
+    violation: BuchiAutomaton
+    text: str
+    variables: tuple[Var, ...] = ()
+    symbols: Mapping[str, fo.Formula] | None = None
+    source: bool = False
+    #: Protocol atoms read only the current snapshot.
+    pairs = False
 
-    def letter(self, state: GlobalState) -> frozenset:
-        cached = self._cache.get(state)
-        if cached is None:
-            cached = frozenset(
-                ap for ap in self.aps if self._truth(ap, state)
-            )
-            self._cache[state] = cached
-        return cached
+    @classmethod
+    def agnostic(cls, protocol: AgnosticProtocol) -> "ProtocolRefutation":
+        return cls(
+            protocol.violation_automaton(),
+            f"agnostic protocol over {sorted(protocol.alphabet)} "
+            f"({protocol.observer.value})",
+            source=protocol.observer is Observer.SOURCE,
+        )
 
+    @classmethod
+    def aware(cls, protocol: DataAwareProtocol) -> "ProtocolRefutation":
+        return cls(
+            protocol.violation_automaton(),
+            f"data-aware protocol over {sorted(protocol.symbols)}",
+            variables=protocol.free_variables(),
+            symbols=protocol.symbols,
+        )
 
-def _search(composition: Composition, cache: TransitionCache,
-            nba: BuchiAutomaton, evaluator, stats: VerifierStats,
-            valuation: Mapping[str, object], text: str
-            ) -> Counterexample | None:
-    product = ProductSystem(cache, nba, evaluator)
-    lasso_nodes, search_stats = find_accepting_lasso(product)
-    stats.merge_search(search_stats.blue_visited, search_stats.red_visited)
-    stats.nba_states_total += nba.num_states()
-    if lasso_nodes is None:
-        return None
-    return Counterexample(
-        valuation=dict(valuation),
-        lasso=Lasso(
-            tuple(n[0] for n in lasso_nodes.prefix),
-            tuple(n[0] for n in lasso_nodes.cycle),
-        ),
-        property_text=text,
-    )
+    def automaton(self, valuation, domain) -> BuchiAutomaton:
+        if self.symbols is None:
+            labels = {name: EventAtom(name, self.source)
+                      for name in self.violation.aps}
+        else:
+            labels = {name: fo.instantiate(formula, valuation)
+                      for name, formula in self.symbols.items()}
+        nba = self.violation.relabel(labels)
+        occurs = occurs_terms(valuation, domain)
+        if occurs:
+            nba = nba.intersection(ltl_to_buchi(land(*occurs)))
+        return nba
 
 
 def verify_agnostic(composition: Composition,
@@ -86,7 +96,6 @@ def verify_agnostic(composition: Composition,
                     semantics: ChannelSemantics = DECIDABLE_DEFAULT,
                     domain: VerificationDomain | None = None,
                     budget: SearchBudget | None = None,
-                    transition_cache: TransitionCache | None = None,
                     ) -> VerificationResult:
     """Check compliance with a data-agnostic protocol (Theorem 4.2).
 
@@ -104,36 +113,8 @@ def verify_agnostic(composition: Composition,
         )
     if domain is None:
         domain = verification_domain(composition, [], databases)
-    stats = VerifierStats()
-    cache = transition_cache or TransitionCache(
-        composition, databases, domain.values, semantics, budget=budget,
-    )
-    text = (f"agnostic protocol over {sorted(protocol.alphabet)} "
-            f"({protocol.observer.value})")
-    cache_before = rule_cache_info()
-    seconds_before = phase_seconds()
-    counts_before = phase_counts()
-    with Stopwatch(stats):
-        stats.valuations_checked = 1
-        nba = protocol.violation_automaton()
-        evaluator = CallbackEvaluator(
-            frozenset(nba.aps),
-            lambda ap, state: ap in protocol.letter_of(state),
-        )
-        counterexample = _search(composition, cache, nba, evaluator,
-                                 stats, {}, text)
-        stats.system_states = cache.states_expanded
-    stats.merge_phases(diff_numeric(phase_seconds(), seconds_before),
-                       diff_numeric(phase_counts(), counts_before))
-    stats.merge_rule_cache(rule_cache_delta(cache_before))
-    return VerificationResult(
-        satisfied=counterexample is None,
-        property_text=text,
-        counterexample=counterexample,
-        stats=stats,
-        domain_description=domain.describe(),
-        semantics_description=semantics.describe(),
-    )
+    return refute(composition, ProtocolRefutation.agnostic(protocol),
+                  databases, domain, semantics, budget=budget)
 
 
 def verify_aware(composition: Composition,
@@ -142,7 +123,6 @@ def verify_aware(composition: Composition,
                  semantics: ChannelSemantics = DECIDABLE_DEFAULT,
                  domain: VerificationDomain | None = None,
                  budget: SearchBudget | None = None,
-                 transition_cache: TransitionCache | None = None,
                  ) -> VerificationResult:
     """Check compliance with a data-aware protocol (Theorem 4.5).
 
@@ -151,78 +131,13 @@ def verify_aware(composition: Composition,
     with ``F occurs(v)`` constraints forcing fresh valuation values to
     appear in the counterexample run (mirroring the LTL-FO verifier).
     """
-    variables = protocol.free_variables()
     if domain is None:
-        domain = verification_domain(composition, [], databases)
-        if protocol.constants() - set(domain.constants):
-            extra = tuple(sorted(
-                set(protocol.constants()) - set(domain.constants),
-                key=str,
-            ))
-            domain = VerificationDomain(
-                domain.constants + extra, domain.fresh
-            )
-    stats = VerifierStats()
-    cache = transition_cache or TransitionCache(
-        composition, databases, domain.values, semantics, budget=budget,
-    )
-    text = f"data-aware protocol over {sorted(protocol.symbols)}"
-    violation = protocol.violation_automaton()
-
-    counterexample: Counterexample | None = None
-    cache_before = rule_cache_info()
-    seconds_before = phase_seconds()
-    counts_before = phase_counts()
-    with Stopwatch(stats):
-        for valuation in canonical_valuations(variables, domain):
-            stats.valuations_checked += 1
-            instantiated = {
-                name: fo.instantiate(formula, valuation)
-                for name, formula in protocol.symbols.items()
-            }
-            occurs_values = [
-                v for v in set(valuation.values())
-                if v not in domain.constants
-            ]
-            nba = violation
-            if occurs_values:
-                occurs_nba = ltl_to_buchi(land(*[
-                    lfinally(latom(OccursAtom(v))) for v in occurs_values
-                ]))
-                nba = violation.intersection(occurs_nba)
-
-            view_cache: dict[GlobalState, Instance] = {}
-
-            def truth(ap, state, _inst=instantiated, _vc=view_cache):
-                if isinstance(ap, OccursAtom):
-                    return ap.value in state.active_domain()
-                view = _vc.get(state)
-                if view is None:
-                    view = snapshot_view(state, composition)
-                    _vc[state] = view
-                return evaluate(_inst[ap], view, domain.values)
-
-            evaluator = CallbackEvaluator(frozenset(nba.aps), truth)
-            counterexample = _search(
-                composition, cache, nba, evaluator, stats,
-                {v.name: val for v, val in valuation.items()}, text,
-            )
-            if counterexample is not None:
-                break
-        stats.system_states = cache.states_expanded
-
-    stats.merge_phases(diff_numeric(phase_seconds(), seconds_before),
-                       diff_numeric(phase_counts(), counts_before))
-    stats.merge_rule_cache(rule_cache_delta(cache_before))
-
-    return VerificationResult(
-        satisfied=counterexample is None,
-        property_text=text,
-        counterexample=counterexample,
-        stats=stats,
-        domain_description=domain.describe(),
-        semantics_description=semantics.describe(),
-    )
+        domain = with_constants(
+            verification_domain(composition, [], databases),
+            protocol.constants(),
+        )
+    return refute(composition, ProtocolRefutation.aware(protocol),
+                  databases, domain, semantics, budget=budget)
 
 
 def trace_of(lasso: Lasso, protocol: AgnosticProtocol

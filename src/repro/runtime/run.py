@@ -118,7 +118,6 @@ def validate_lasso(composition: Composition,
                    domain: Domain,
                    lasso: Lasso,
                    semantics: ChannelSemantics = DECIDABLE_DEFAULT,
-                   include_environment: bool = True,
                    env_one_action_per_move: bool = True,
                    env_value_domain: Domain | None = None,
                    ) -> list[str]:
@@ -148,7 +147,6 @@ def validate_lasso(composition: Composition,
     def succs(state: GlobalState) -> list[GlobalState]:
         return successors(
             composition, state, domain, semantics,
-            include_environment=include_environment,
             env_one_action_per_move=env_one_action_per_move,
             env_value_domain=env_value_domain,
         )

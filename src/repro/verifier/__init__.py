@@ -2,8 +2,8 @@
 modular (assume-guarantee) verification."""
 
 from .atoms import (
-    InternedSnapshotEvaluator, OccursAtom, SharedSnapshotContext,
-    SnapshotEvaluator,
+    EventAtom, InternedSnapshotEvaluator, OccursAtom, PairState,
+    SharedSnapshotContext, SnapshotEvaluator,
 )
 from .domain import (
     VerificationDomain, canonical_valuations, canonicalize_valuation,
@@ -22,6 +22,7 @@ from .shards import (
     spec_sha,
 )
 from .product import ProductSystem, SearchBudget, TransitionCache
+from .refutation import PropertyRefutation
 from .result import (
     Counterexample, TaskStats, VerificationResult, VerifierStats,
 )
@@ -33,15 +34,14 @@ from .ltlfo_verifier import (
 )
 from .reference import verify_reference
 from .modular import (
-    environment_schema, observer_translate, parse_env_spec,
-    translate_env_spec, verify_modular,
+    environment_schema, modular_refutation, observer_translate,
+    parse_env_spec, translate_env_spec, verify_modular,
 )
 
 __all__ = [
-    "Counterexample", "ExploredGraph", "InternedProduct",
+    "Counterexample", "EventAtom", "ExploredGraph", "InternedProduct",
     "InternedSnapshotEvaluator", "LassoNodes", "MERGED_SCHEMA",
-    "OccursAtom",
-    "ProductSystem",
+    "OccursAtom", "PairState", "ProductSystem", "PropertyRefutation",
     "SHARD_SCHEMA", "SearchBudget", "SearchCancelled", "SearchStats",
     "SharedExploration", "SharedSnapshotContext", "SnapshotEvaluator",
     "StateInterner",
@@ -51,7 +51,8 @@ __all__ = [
     "check_one_valuation", "enumerate_databases",
     "environment_schema", "find_accepting_lasso", "fresh_values",
     "grid_tasks", "merge_fragments", "merge_metrics_snapshots",
-    "observer_translate", "parse_env_spec", "preflight",
+    "modular_refutation", "observer_translate", "parse_env_spec",
+    "preflight",
     "resolve_shard", "resolve_workers",
     "result_from_merged",
     "run_sweep", "shard_filter", "shard_fragment", "spec_sha",

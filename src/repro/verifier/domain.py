@@ -102,6 +102,16 @@ def verification_domain(
     return VerificationDomain(ordered, fresh)
 
 
+def with_constants(domain: VerificationDomain,
+                   constants: Iterable[Value]) -> VerificationDomain:
+    """*domain* plus the given constants it lacks (a spec's or a
+    protocol's), appended in ``str`` order; the fresh values stay."""
+    extra = tuple(sorted(set(constants) - set(domain.constants), key=str))
+    if not extra:
+        return domain
+    return VerificationDomain(domain.constants + extra, domain.fresh)
+
+
 def canonical_valuations(
     variables: Sequence, domain: VerificationDomain
 ) -> list[dict]:

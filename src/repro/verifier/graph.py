@@ -46,7 +46,9 @@ from ..obs import counter, gauge
 from ..runtime.state import GlobalState
 from ..spec.composition import Composition
 from .atoms import SharedSnapshotContext
-from .product import ProductNode, SearchBudget, TransitionCache
+from .product import (
+    PairTransitions, ProductNode, SearchBudget, TransitionCache,
+)
 
 class StateInterner:
     """Hash-cons snapshots into dense ids (ids are assignment order)."""
@@ -116,12 +118,13 @@ class ExploredGraph:
 class SharedExploration:
     """One interned exploration, reused by every valuation's search.
 
-    Wraps a live :class:`TransitionCache` (driver side) or a frozen
-    :class:`ExploredGraph` (worker side, via :meth:`from_graph`); either
-    way the product search only ever sees integer state ids.
+    Wraps a live :class:`TransitionCache` or
+    :class:`~repro.verifier.product.PairTransitions` (driver side) or a
+    frozen :class:`ExploredGraph` (worker side, via :meth:`from_graph`);
+    either way the product search only ever sees integer state ids.
     """
 
-    def __init__(self, cache: TransitionCache) -> None:
+    def __init__(self, cache: TransitionCache | PairTransitions) -> None:
         self.cache: TransitionCache | None = cache
         self._start(cache.composition, cache.budget, None)
 

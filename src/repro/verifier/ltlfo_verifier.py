@@ -40,6 +40,8 @@ from .domain import (
 from .parallel import (
     SweepContext, SweepPayload, grid_tasks, resolve_workers, run_sweep,
 )
+from .product import SearchBudget
+from .refutation import PropertyRefutation
 from .result import VerificationResult
 
 
@@ -85,17 +87,18 @@ def preflight(composition: Composition,
     return classify(composition, sentences, semantics)
 
 
-def _valuations(sentence: LTLFOSentence, domain: VerificationDomain,
+def _valuations(variables: Sequence, domain: VerificationDomain,
                 candidates: Mapping[str, Sequence[Value]] | None
                 ) -> list[dict]:
-    """The canonical valuations of *sentence*, restricted to *candidates*."""
-    valuations = canonical_valuations(sentence.variables, domain)
+    """The canonical valuations of *variables*, restricted to
+    *candidates*."""
+    valuations = canonical_valuations(variables, domain)
     if not candidates:
         return valuations
     return [
         v for v in valuations
         if all(var.name not in candidates or v[var] in candidates[var.name]
-               for var in sentence.variables)
+               for var in variables)
     ]
 
 
@@ -105,23 +108,43 @@ def _context(databases: Mapping[str, Instance],
 
 
 def _sweep(composition: Composition, contexts: Sequence[SweepContext],
-           sentences: Sequence[LTLFOSentence], cells,
-           semantics: ChannelSemantics,
-           workers: int | None, shard: tuple[int, int] | None,
+           groups: Sequence, cells, semantics: ChannelSemantics,
+           workers: int, shard: tuple[int, int] | None = None,
+           budget: SearchBudget | None = None,
            env_value_domain: Sequence[Value] | None = None,
-           **options) -> list[VerificationResult]:
+           ) -> list[VerificationResult]:
     """Build the payload and the task grid of *cells*; run the sweep."""
     payload = SweepPayload(
         composition=composition,
         contexts=tuple(contexts),
-        sentences=tuple(sentences),
+        groups=tuple(groups),
         semantics=semantics,
         env_value_domain=(tuple(env_value_domain)
                           if env_value_domain is not None else None),
-        **options,
+        budget=budget,
     )
-    tasks = grid_tasks(cells, shard)
-    return run_sweep(payload, tasks, resolve_workers(workers))
+    return run_sweep(payload, grid_tasks(cells, shard), workers)
+
+
+def refute(composition: Composition, group,
+           databases: Mapping[str, Instance],
+           domain: VerificationDomain,
+           semantics: ChannelSemantics = DECIDABLE_DEFAULT,
+           valuation_candidates: Mapping[str, Sequence[Value]] | None = None,
+           budget: SearchBudget | None = None,
+           env_value_domain: Sequence[Value] | None = None,
+           ) -> VerificationResult:
+    """Sweep one refutation over one database context, in process.
+
+    The shared back end of :func:`~repro.verifier.modular.verify_modular`
+    and the protocol verifiers (:mod:`repro.protocols.verify`): a
+    one-group, one-context grid over *group*'s candidate-filtered
+    canonical valuations.
+    """
+    valuations = _valuations(group.variables, domain, valuation_candidates)
+    return _sweep(composition, [_context(databases, domain)], [group],
+                  [(0, 0, valuations)], semantics, workers=1,
+                  budget=budget, env_value_domain=env_value_domain)[0]
 
 
 def verify(composition: Composition, prop: LTLFOSentence | str,
@@ -135,8 +158,8 @@ def verify(composition: Composition, prop: LTLFOSentence | str,
     ---------
     composition:
         A (normally closed) composition.  Open compositions are verified
-        against an unconstrained environment (every environment behaviour
-        over the domain is explored) unless ``include_environment=False``.
+        against an unconstrained environment: every environment move
+        over the domain (``env_value_domain``, if given) is explored.
     prop:
         An :class:`LTLFOSentence` or its textual form.
     databases:
@@ -191,12 +214,13 @@ def verify_all(composition: Composition,
                    str, Sequence[Value]] | None = None,
                workers: int | None = None,
                shard: tuple[int, int] | None = None,
-               **options) -> list[VerificationResult]:
+               fair_scheduling: bool = False,
+               budget: SearchBudget | None = None,
+               env_value_domain: Sequence[Value] | None = None,
+               ) -> list[VerificationResult]:
     """Verify several properties sharing one transition-system exploration.
 
-    The keywords (and the *options* ``budget``, ``include_environment``,
-    ``env_value_domain``, ``env_one_action_per_move`` and
-    ``fair_scheduling``) mean what they mean for :func:`verify`.  Each
+    The keywords mean what they mean for :func:`verify`.  Each
     property gets the domain it would get alone; properties with equal
     domains (the usual case) share one sweep, one task per (property,
     valuation) and one result group per property.  In-process, one
@@ -208,6 +232,8 @@ def verify_all(composition: Composition,
     sentences = [_as_sentence(p, composition) for p in props]
     for sentence in sentences:
         _check_restrictions(composition, sentence, check_input_bounded)
+    groups = [PropertyRefutation.of(composition, s, fair_scheduling)
+              for s in sentences]
     domains = [
         domain if domain is not None
         else verification_domain(composition, [sentence], databases)
@@ -216,12 +242,13 @@ def verify_all(composition: Composition,
     results: list[VerificationResult | None] = [None] * len(sentences)
     for dom in dict.fromkeys(domains):
         members = [i for i, d in enumerate(domains) if d == dom]
-        cells = [(group, 0, _valuations(sentences[i], dom,
+        cells = [(group, 0, _valuations(sentences[i].variables, dom,
                                         valuation_candidates))
                  for group, i in enumerate(members)]
         swept = _sweep(composition, [_context(databases, dom)],
-                       [sentences[i] for i in members], cells, semantics,
-                       workers, shard, **options)
+                       [groups[i] for i in members], cells, semantics,
+                       resolve_workers(workers), shard, budget,
+                       env_value_domain)
         for i, result in zip(members, swept):
             results[i] = result
     return results
@@ -239,7 +266,10 @@ def verify_over_databases(composition: Composition,
                           valuation_candidates: Mapping[
                               str, Sequence[Value]] | None = None,
                           shard: tuple[int, int] | None = None,
-                          **options) -> VerificationResult:
+                          fair_scheduling: bool = False,
+                          budget: SearchBudget | None = None,
+                          env_value_domain: Sequence[Value] | None = None,
+                          ) -> VerificationResult:
     """Decide the property over *every* database within the given bounds.
 
     The completeness companion to :func:`verify`: enumerates all database
@@ -249,10 +279,8 @@ def verify_over_databases(composition: Composition,
 
     ``relation_arities_by_peer`` maps each peer name to the relation
     arities of the databases to enumerate, e.g.
-    ``{"S": {"items": 1}}``.  The remaining keyword arguments (and the
-    *options* ``budget``, ``include_environment``, ``env_value_domain``,
-    ``env_one_action_per_move`` and ``fair_scheduling``) mean what they
-    mean for :func:`verify`.
+    ``{"S": {"items": 1}}``.  The remaining keyword arguments mean what
+    they mean for :func:`verify`.
 
     The full (database, valuation) grid is one sweep in combination-major
     order: the first violated cell decides, and the stats aggregate the
@@ -277,8 +305,10 @@ def verify_over_databases(composition: Composition,
                                                      [sentence], dbs))
         for dbs in combos
     ]
-    cells = [(0, ctx_idx, _valuations(sentence, ctx.domain,
+    cells = [(0, ctx_idx, _valuations(sentence.variables, ctx.domain,
                                       valuation_candidates))
              for ctx_idx, ctx in enumerate(contexts)]
-    return _sweep(composition, contexts, [sentence], cells, semantics,
-                  workers, shard, **options)[0]
+    group = PropertyRefutation.of(composition, sentence, fair_scheduling)
+    return _sweep(composition, contexts, [group], cells, semantics,
+                  resolve_workers(workers), shard, budget,
+                  env_value_domain)[0]

@@ -26,46 +26,41 @@ data domain is time-invariant),
 
 so each affected payload is rewritten into an FO formula over the *pair*
 (previous snapshot, current snapshot) and prefixed with one outer ``X``.
-The product system tracks the previous snapshot, and ``prev.R`` atoms read
-it.  The violation search then looks for a run satisfying
-``psi_translated & ~phi(nu)``.
+The product then runs over
+:class:`~repro.verifier.atoms.PairState` snapshots, and ``prev.R`` atoms
+read the previous one.  The violation search looks for a run satisfying
+``psi_translated & ~phi(nu)``: the same valuation sweep as
+:func:`~repro.verifier.verify`, over a
+:class:`~repro.verifier.refutation.PropertyRefutation` whose premise is
+the translated spec.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..errors import VerificationError
 from ..fo import formulas as fo
-from ..fo.evaluator import evaluate
 from ..fo.instance import Instance
 from ..fo.schema import (
     ENVIRONMENT_NAME, RelationKind, RelationSymbol, Schema, move_name,
     received_name,
 )
-from ..ib.checker import check_sentence
-from ..ltl.buchi import BuchiAutomaton
-from ..ltl.formulas import LAtom, LTLFormula, land, latom, lfinally, lnot
-from ..ltl.translate import ltl_to_buchi
+from ..ltl.formulas import LAtom, LTLFormula, land, limplies
 from ..ltlfo.formulas import LTLFOSentence, map_payloads, relativize
 from ..ltlfo.parser import parse_ltlfo
-from ..runtime.run import Lasso
-from ..runtime.state import GlobalState, snapshot_view
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
 from ..spec.rules import rename_formula_relations
-from .atoms import OccursAtom
+from .atoms import PREV_MARK
 from .domain import (
     VerificationDomain, canonical_valuations, verification_domain,
+    with_constants,
 )
-from .ltlfo_verifier import _as_sentence
-from .product import SearchBudget, TransitionCache
-from .result import (
-    Counterexample, Stopwatch, VerificationResult, VerifierStats,
-)
-from .search import find_accepting_lasso
-
-PREV_MARK = "@prev."
+from .ltlfo_verifier import _as_sentence, _check_restrictions, refute
+from .product import SearchBudget
+from .refutation import PropertyRefutation, occurs_terms
+from .result import VerificationResult
 
 
 # -- environment-spec parsing ---------------------------------------------------
@@ -267,143 +262,24 @@ def translate_env_spec(spec: LTLFOSentence, composition: Composition,
     return observer_translate(relativized, composition)
 
 
-# -- pair-snapshot product ------------------------------------------------------
-
-
-class PairCache:
-    """Wraps a :class:`TransitionCache`, tracking the previous snapshot.
-
-    States are ``(previous, current)`` pairs; ``prev.R`` atoms of
-    translated payloads read the previous snapshot's view (empty relations
-    before the first step).
-    """
-
-    def __init__(self, inner: TransitionCache) -> None:
-        self.inner = inner
-        self.budget = inner.budget
-
-    def initial(self) -> tuple:
-        return tuple((None, s) for s in self.inner.initial())
-
-    def successors_of(self, pair) -> tuple:
-        _prev, cur = pair
-        return tuple((cur, nxt) for nxt in self.inner.successors_of(cur))
-
-    @property
-    def states_expanded(self) -> int:
-        return self.inner.states_expanded
-
-
-class PairEvaluator:
-    """AP valuation over (previous, current) snapshot pairs."""
-
-    def __init__(self, composition: Composition,
-                 domain: Sequence, aps: frozenset) -> None:
-        self.composition = composition
-        self.domain = tuple(domain)
-        self.aps = aps
-        self._view_cache: dict[GlobalState, Instance] = {}
-        self._letter_cache: dict[tuple, frozenset] = {}
-
-    def _view(self, state: GlobalState) -> Instance:
-        view = self._view_cache.get(state)
-        if view is None:
-            view = snapshot_view(state, self.composition)
-            self._view_cache[state] = view
-        return view
-
-    def _pair_view(self, prev: GlobalState | None,
-                   cur: GlobalState) -> Instance:
-        view = self._view(cur)
-        if prev is not None:
-            prev_view = self._view(prev)
-            marked = Instance({
-                PREV_MARK + name: prev_view[name]
-                for name in prev_view.relations()
-            })
-            view = view.merged(marked)
-        return view
-
-    def letter(self, pair) -> frozenset:
-        cached = self._letter_cache.get(pair)
-        if cached is not None:
-            return cached
-        prev, cur = pair
-        true_aps = set()
-        pair_view: Instance | None = None
-        for ap in self.aps:
-            if isinstance(ap, OccursAtom):
-                if ap.value in cur.active_domain():
-                    true_aps.add(ap)
-                continue
-            if pair_view is None:
-                pair_view = self._pair_view(prev, cur)
-            if evaluate(ap, pair_view, self.domain):
-                true_aps.add(ap)
-        letter = frozenset(true_aps)
-        self._letter_cache[pair] = letter
-        return letter
-
-
-class PairProduct:
-    """Product of the pair-state system with an NBA (duck-typed like
-    :class:`~repro.verifier.product.ProductSystem`)."""
-
-    def __init__(self, cache: PairCache, nba: BuchiAutomaton,
-                 evaluator: PairEvaluator) -> None:
-        self.cache = cache
-        self.nba = nba
-        self.evaluator = evaluator
-
-    def initial_nodes(self) -> list:
-        return [
-            (pair, q)
-            for pair in self.cache.initial()
-            for q in self.nba.initial
-        ]
-
-    def successors(self, node) -> Iterator:
-        pair, q = node
-        letter = self.evaluator.letter(pair)
-        targets = [
-            e.dst for e in self.nba.edges_from(q)
-            if e.guard.satisfied(letter)
-        ]
-        if not targets:
-            return
-        for nxt in self.cache.successors_of(pair):
-            for dst in targets:
-                yield (nxt, dst)
-
-    def is_accepting(self, node) -> bool:
-        return node[1] in self.nba.accepting
-
-
 # -- the modular verifier -----------------------------------------------------
 
 
-def verify_modular(composition: Composition,
-                   prop: LTLFOSentence | str,
-                   env_spec: LTLFOSentence | str,
-                   databases: Mapping[str, Instance],
-                   semantics: ChannelSemantics = DECIDABLE_DEFAULT,
-                   domain: VerificationDomain | None = None,
-                   allow_nonstrict: bool = False,
-                   check_input_bounded: bool = True,
-                   budget: SearchBudget | None = None,
-                   env_max_nested_rows: int = 1,
-                   env_one_action_per_move: bool = True,
-                   env_value_domain=None,
-                   valuation_candidates: Mapping[str, Sequence] | None = None,
-                   observer: str = "recipient",
-                   ) -> VerificationResult:
-    """Decide ``C |=_psi phi`` for an open composition (Theorem 5.4).
+def modular_refutation(composition: Composition,
+                       prop: LTLFOSentence | str,
+                       env_spec: LTLFOSentence | str,
+                       databases: Mapping[str, Instance],
+                       domain: VerificationDomain | None = None,
+                       allow_nonstrict: bool = False,
+                       check_input_bounded: bool = True,
+                       observer: str = "recipient",
+                       ) -> tuple[PropertyRefutation, VerificationDomain]:
+    """What :func:`verify_modular` refutes, and over which domain.
 
-    ``env_spec`` must be *strictly* input-bounded (no closure variables);
-    with ``allow_nonstrict=True``, a non-strict spec is expanded into the
-    finite conjunction of its instantiations over the verification domain
-    -- sound and complete *for that domain*, consistent with Theorem 5.5's
-    undecidability of the general non-strict problem.
+    The property under the translated environment spec as its premise;
+    the product runs over (previous, current) snapshot pairs when the
+    translation reads the previous step.  The default domain adds the
+    spec's constants to the property's.
     """
     if composition.is_closed:
         raise VerificationError(
@@ -412,17 +288,7 @@ def verify_modular(composition: Composition,
     sentence = _as_sentence(prop, composition)
     spec = (parse_env_spec(env_spec, composition)
             if isinstance(env_spec, str) else env_spec)
-
-    if check_input_bounded:
-        from ..errors import InputBoundednessError
-        from ..ib.checker import check_composition
-        violations = check_composition(composition)
-        violations += check_sentence(sentence, composition.schema)
-        if violations:
-            lines = "\n".join(str(v) for v in violations)
-            raise InputBoundednessError(
-                f"not input-bounded:\n{lines}", tuple(violations)
-            )
+    _check_restrictions(composition, sentence, check_input_bounded)
 
     # Theorem 5.4 restricts environment *specs* to flat environment
     # channels; nested environment channels may exist but may not be
@@ -439,14 +305,10 @@ def verify_modular(composition: Composition,
         )
 
     if domain is None:
-        domain = verification_domain(composition, [sentence], databases)
-        extra = tuple(sorted(
-            set(spec.constants()) - set(domain.constants), key=str
-        ))
-        if extra:
-            domain = VerificationDomain(
-                domain.constants + extra, domain.fresh
-            )
+        domain = with_constants(
+            verification_domain(composition, [sentence], databases),
+            spec.constants(),
+        )
 
     # translate the environment spec
     if spec.is_strict:
@@ -461,78 +323,49 @@ def verify_modular(composition: Composition,
             )
         conjuncts = []
         for val in canonical_valuations(spec.variables, domain):
-            inst_body = spec.instantiate(val)
             translated = translate_env_spec(
-                LTLFOSentence((), inst_body), composition, observer
+                LTLFOSentence((), spec.instantiate(val)), composition,
+                observer,
             )
-            occurs = [
-                lfinally(latom(OccursAtom(v)))
-                for v in set(val.values()) if v not in domain.constants
-            ]
+            occurs = occurs_terms(val, domain)
             # Dom(rho)-restricted universal premise: valuations whose
             # fresh values never occur impose nothing
-            from ..ltl.formulas import limplies
             conjuncts.append(limplies(land(*occurs), translated)
                              if occurs else translated)
         premise = land(*conjuncts)
 
-    stats = VerifierStats()
-    inner_cache = TransitionCache(
-        composition, databases, domain.values, semantics,
-        include_environment=True, budget=budget,
-        env_max_nested_rows=env_max_nested_rows,
-        env_one_action_per_move=env_one_action_per_move,
-        env_value_domain=env_value_domain,
+    group = PropertyRefutation(
+        sentence, f"{sentence}  under env spec  {spec}", premise=(premise,),
     )
-    cache = PairCache(inner_cache)
+    return group, domain
 
-    counterexample: Counterexample | None = None
-    text = f"{sentence}  under env spec  {spec}"
-    valuations = canonical_valuations(sentence.variables, domain)
-    if valuation_candidates:
-        valuations = [
-            v for v in valuations
-            if all(
-                var.name not in valuation_candidates
-                or v[var] in valuation_candidates[var.name]
-                for var in sentence.variables
-            )
-        ]
-    with Stopwatch(stats):
-        for valuation in valuations:
-            stats.valuations_checked += 1
-            negated = lnot(sentence.instantiate(valuation))
-            occurs = [
-                lfinally(latom(OccursAtom(v)))
-                for v in set(valuation.values())
-                if v not in domain.constants
-            ]
-            nba = ltl_to_buchi(land(premise, negated, *occurs))
-            stats.nba_states_total += nba.num_states()
-            evaluator = PairEvaluator(composition, domain.values, nba.aps)
-            product = PairProduct(cache, nba, evaluator)
-            lasso_nodes, search_stats = find_accepting_lasso(product)
-            stats.merge_search(search_stats.blue_visited,
-                               search_stats.red_visited)
-            if lasso_nodes is not None:
-                prefix = tuple(n[0][1] for n in lasso_nodes.prefix)
-                cycle = tuple(n[0][1] for n in lasso_nodes.cycle)
-                counterexample = Counterexample(
-                    valuation={
-                        var.name: value
-                        for var, value in valuation.items()
-                    },
-                    lasso=Lasso(prefix, cycle),
-                    property_text=text,
-                )
-                break
-        stats.system_states = cache.states_expanded
 
-    return VerificationResult(
-        satisfied=counterexample is None,
-        property_text=text,
-        counterexample=counterexample,
-        stats=stats,
-        domain_description=domain.describe(),
-        semantics_description=semantics.describe(),
+def verify_modular(composition: Composition,
+                   prop: LTLFOSentence | str,
+                   env_spec: LTLFOSentence | str,
+                   databases: Mapping[str, Instance],
+                   semantics: ChannelSemantics = DECIDABLE_DEFAULT,
+                   domain: VerificationDomain | None = None,
+                   allow_nonstrict: bool = False,
+                   check_input_bounded: bool = True,
+                   budget: SearchBudget | None = None,
+                   env_value_domain=None,
+                   valuation_candidates: Mapping[str, Sequence] | None = None,
+                   observer: str = "recipient",
+                   ) -> VerificationResult:
+    """Decide ``C |=_psi phi`` for an open composition (Theorem 5.4).
+
+    ``env_spec`` must be *strictly* input-bounded (no closure variables);
+    with ``allow_nonstrict=True``, a non-strict spec is expanded into the
+    finite conjunction of its instantiations over the verification domain
+    -- sound and complete *for that domain*, consistent with Theorem 5.5's
+    undecidability of the general non-strict problem.  The search is the
+    valuation sweep of :func:`~repro.verifier.ltlfo_verifier.refute` over
+    :func:`modular_refutation`'s refutation.
+    """
+    group, domain = modular_refutation(
+        composition, prop, env_spec, databases, domain, allow_nonstrict,
+        check_input_bounded, observer,
     )
+    return refute(composition, group, databases, domain, semantics,
+                  valuation_candidates, budget, env_value_domain)

@@ -1,13 +1,16 @@
 """The valuation sweep: one task grid, run in-process or on a process pool.
 
 The verifier's outer loop is embarrassingly parallel: each canonical
-valuation of the property's closure variables (times each candidate
+valuation of a refutation's closure variables (times each candidate
 database, for enumeration sweeps) spawns an independent Büchi
-translation plus nested-DFS emptiness search.  Every ``verify*`` entry
-point describes its work the same way -- a :class:`SweepPayload`
-(composition, database contexts, sentences, semantics) plus a grid of
-:class:`SweepTask` cells -- and calls :func:`run_sweep`, the one
-valuation loop of :mod:`repro.verifier`.
+translation plus nested-DFS emptiness search.  Every decision procedure
+-- ``verify*``, :func:`~repro.verifier.modular.verify_modular`,
+:func:`~repro.protocols.verify_agnostic` and
+:func:`~repro.protocols.verify_aware` -- describes its work the same
+way: a :class:`SweepPayload` (composition, database contexts, one
+refutation per result group (:mod:`repro.verifier.refutation`),
+semantics) plus a grid of :class:`SweepTask` cells.  It calls
+:func:`run_sweep`, the one valuation loop of :mod:`repro.verifier`.
 
 * **In-process (``workers <= 1``).**  Tasks run in global order.  The
   exploration of a context is lazy for its first valuation (which may
@@ -58,8 +61,6 @@ from typing import Iterable, Mapping, Sequence
 
 from ..fo.instance import Instance
 from ..fo.terms import Value, Var
-from ..ltl.translate import ltl_to_buchi
-from ..ltlfo.formulas import LTLFOSentence
 from ..obs import (
     NULL_PROGRESS, PHASE_SWEEP, counter, counters_snapshot, diff_numeric,
     gauge, instant, merge_counters, phase, phase_counts, phase_seconds,
@@ -73,10 +74,10 @@ from ..runtime.step import (
 )
 from ..spec.channels import ChannelSemantics
 from ..spec.composition import Composition
-from .atoms import InternedSnapshotEvaluator, negated_instance
+from .atoms import InternedSnapshotEvaluator, snapshot_of
 from .domain import VerificationDomain
 from .graph import ExploredGraph, InternedProduct, SharedExploration
-from .product import SearchBudget, TransitionCache
+from .product import SearchBudget, transitions
 from .result import (
     Counterexample, TaskStats, VerificationResult, VerifierStats,
 )
@@ -163,12 +164,10 @@ class SweepPayload:
 
     composition: Composition
     contexts: tuple[SweepContext, ...]
-    sentences: tuple[LTLFOSentence, ...]
+    #: One refutation (:mod:`repro.verifier.refutation`) per group.
+    groups: tuple
     semantics: ChannelSemantics
-    include_environment: bool = True
     env_value_domain: tuple[Value, ...] | None = None
-    env_one_action_per_move: bool = True
-    fair_scheduling: bool = False
     budget: SearchBudget | None = None
     #: Pre-expanded reachable graph of context 0 (pool sweeps only).
     frozen_graph: ExploredGraph | None = None
@@ -178,8 +177,8 @@ class SweepPayload:
 class SweepTask:
     """One cell of the (valuation, database) grid.
 
-    ``group`` indexes the payload's sentences (one result per property
-    in ``verify_all``); ``order`` is the task's position in the sweep of
+    ``group`` indexes the payload's refutations (one result per
+    property in ``verify_all``); ``order`` is the task's position in the sweep of
     its group -- the determinism anchor.
     """
 
@@ -272,23 +271,19 @@ class BatchOutcome:
     wall_seconds: float = 0.0
 
 
-def check_one_valuation(exploration: SharedExploration,
-                        sentence: LTLFOSentence,
+def check_one_valuation(exploration: SharedExploration, group,
                         valuation: Mapping[Var, Value],
                         domain: VerificationDomain,
-                        fair_scheduling: bool = False,
                         should_stop=None) -> ValuationOutcome:
-    """Translate + search one valuation of the closure variables.
+    """Build + search one valuation's violation automaton.
 
-    Translate the negated instance (:func:`negated_instance`) to a
-    Büchi automaton and search its product with the interned
-    exploration for an accepting lasso.  The product runs over state
-    ids and the exploration's shared snapshot/letter caches; lasso
-    nodes are mapped back to snapshots before returning.
+    *group* is a refutation (:mod:`repro.verifier.refutation`); its
+    automaton's product with the interned exploration is searched for
+    an accepting lasso.  The product runs over state ids and the
+    exploration's shared snapshot/letter caches; lasso nodes are mapped
+    back to run snapshots before returning.
     """
-    nba = ltl_to_buchi(negated_instance(
-        exploration.composition, sentence, valuation, domain,
-        fair_scheduling))
+    nba = group.automaton(valuation, domain)
     evaluator = InternedSnapshotEvaluator(
         exploration.composition, domain.values, nba.aps,
         exploration.shared,
@@ -300,8 +295,10 @@ def check_one_valuation(exploration: SharedExploration,
     prefix = cycle = None
     if lasso_nodes is not None:
         state_of = exploration.interner.state_of
-        prefix = tuple(state_of(n[0]) for n in lasso_nodes.prefix)
-        cycle = tuple(state_of(n[0]) for n in lasso_nodes.cycle)
+        prefix = tuple(snapshot_of(state_of(n[0]))
+                       for n in lasso_nodes.prefix)
+        cycle = tuple(snapshot_of(state_of(n[0]))
+                      for n in lasso_nodes.cycle)
     return ValuationOutcome(prefix, cycle, nba.num_states(),
                             search_stats.blue_visited,
                             search_stats.red_visited)
@@ -317,13 +314,12 @@ def _new_exploration(payload: SweepPayload,
         return SharedExploration.from_graph(payload.frozen_graph,
                                             payload.composition)
     ctx = payload.contexts[ctx_idx]
-    return SharedExploration(TransitionCache(
+    return SharedExploration(transitions(
         payload.composition, dict(ctx.databases), ctx.domain.values,
         payload.semantics,
-        include_environment=payload.include_environment,
+        pairs=any(group.pairs for group in payload.groups),
         budget=payload.budget,
         env_value_domain=payload.env_value_domain,
-        env_one_action_per_move=payload.env_one_action_per_move,
     ))
 
 
@@ -369,9 +365,8 @@ def _run_task(payload: SweepPayload, task: SweepTask, cancel,
     t0 = time.perf_counter()
     try:
         result = check_one_valuation(
-            exploration, payload.sentences[task.group],
+            exploration, payload.groups[task.group],
             dict(task.valuation), payload.contexts[task.ctx].domain,
-            fair_scheduling=payload.fair_scheduling,
             should_stop=should_stop,
         )
     except SearchCancelled:
@@ -544,7 +539,7 @@ def _pre_expand(payload: SweepPayload) -> SweepPayload:
 def _run_in_process(payload: SweepPayload, ordered: Sequence[SweepTask],
                     progress) -> list[BatchOutcome]:
     """The in-process sweep: global order, one batch per (group, ctx)."""
-    cancel = [_UNDECIDED] * len(payload.sentences)
+    cancel = [_UNDECIDED] * len(payload.groups)
     contexts: dict = {}
     return [
         _run_batch(payload, cell, cancel, contexts, _ObsWindow(),
@@ -553,14 +548,14 @@ def _run_in_process(payload: SweepPayload, ordered: Sequence[SweepTask],
     ]
 
 
-def _run_pool(payload_bytes: bytes, n_sentences: int,
+def _run_pool(payload_bytes: bytes, n_groups: int,
               ordered: Sequence[SweepTask], workers: int,
               progress) -> list[BatchOutcome]:
     """Run the batches on a process pool; collect them as they finish."""
     batches = plan_batches(ordered, workers)
     gauge("sweep.batches").set(len(batches))
     mp = _mp_context()
-    cancel = mp.Array("q", [_UNDECIDED] * n_sentences)
+    cancel = mp.Array("q", [_UNDECIDED] * n_groups)
     initargs = (payload_bytes, cancel, mp.Value("i", 0),
                 ledger.worker_bootstrap(0))
     results: list[BatchOutcome] = []
@@ -584,7 +579,7 @@ def _run_pool(payload_bytes: bytes, n_sentences: int,
 
 def run_sweep(payload: SweepPayload, tasks: Sequence[SweepTask],
               workers: int) -> list[VerificationResult]:
-    """Run the task grid; one result per sentence of *payload*.
+    """Run the task grid; one result per group of *payload*.
 
     A pool starts only when it can help (``workers > 1`` and at least
     two tasks) and the payload pickles; a pool that breaks (a worker
@@ -608,7 +603,7 @@ def run_sweep(payload: SweepPayload, tasks: Sequence[SweepTask],
                     pass  # an unpicklable payload runs in-process
             driver_obs = driver.take()
             progress.set_info(
-                workers=workers, groups=len(payload.sentences),
+                workers=workers, groups=len(payload.groups),
                 graph_states=(payload.frozen_graph.num_states
                               if payload.frozen_graph is not None
                               else None),
@@ -617,7 +612,7 @@ def run_sweep(payload: SweepPayload, tasks: Sequence[SweepTask],
             if payload_bytes is not None:
                 try:
                     batches = _run_pool(payload_bytes,
-                                        len(payload.sentences), ordered,
+                                        len(payload.groups), ordered,
                                         workers, progress)
                     pooled = True
                 except BrokenProcessPool:
@@ -635,7 +630,7 @@ def run_sweep(payload: SweepPayload, tasks: Sequence[SweepTask],
         _result_for_group(group, batches, payload,
                           workers if pooled else 1,
                           wall if pooled else None)
-        for group in range(len(payload.sentences))
+        for group in range(len(payload.groups))
     ]
     if results:
         # the driver's one-off pre-expansion goes to the first group
@@ -709,7 +704,7 @@ def _result_for_group(group: int, batches: Sequence[BatchOutcome],
         # expansions; the graph size is the true system-state count
         stats.system_states = max(stats.system_states,
                                   payload.frozen_graph.num_states)
-    sentence = payload.sentences[group]
+    text = payload.groups[group].text
     counterexample = None
     domain = payload.contexts[-1].domain
     if decisive is not None:
@@ -719,11 +714,11 @@ def _result_for_group(group: int, batches: Sequence[BatchOutcome],
         counterexample = Counterexample(
             valuation={var.name: value for var, value in task.valuation},
             lasso=Lasso(result.lasso_prefix, result.lasso_cycle),
-            property_text=str(sentence),
+            property_text=text,
         )
     return VerificationResult(
         satisfied=decisive is None,
-        property_text=str(sentence),
+        property_text=text,
         counterexample=counterexample,
         stats=stats,
         domain_description=domain.describe(),

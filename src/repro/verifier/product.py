@@ -4,7 +4,8 @@ The composition's reachable snapshot graph is finite once the data domain
 and the queue bound are fixed (the computational content of Theorem 3.4's
 reduction).  :class:`TransitionCache` memoizes successor computation so
 multiple property valuations share one exploration;
-:class:`ProductSystem` lazily pairs snapshots with Büchi states.
+:class:`PairTransitions` lifts it to (previous, current) snapshot pairs;
+:class:`ProductSystem` lazily pairs states with Büchi states.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..spec.channels import ChannelSemantics
 from ..spec.composition import Composition
 from ..runtime.state import GlobalState
 from ..runtime.step import initial_states, successors
-from .atoms import SnapshotEvaluator
+from .atoms import PairState, SnapshotEvaluator
 
 
 @dataclass
@@ -39,10 +40,7 @@ class TransitionCache:
                  databases: Mapping[str, Instance],
                  domain: Sequence[Value],
                  semantics: ChannelSemantics,
-                 include_environment: bool = True,
                  budget: SearchBudget | None = None,
-                 env_max_nested_rows: int = 1,
-                 env_one_action_per_move: bool = True,
                  env_value_domain: Sequence[Value] | None = None) -> None:
         if semantics.queue_bound is None:
             raise VerificationError(
@@ -54,9 +52,6 @@ class TransitionCache:
         self.databases = dict(databases)
         self.domain = tuple(domain)
         self.semantics = semantics
-        self.include_environment = include_environment
-        self.env_max_nested_rows = env_max_nested_rows
-        self.env_one_action_per_move = env_one_action_per_move
         self.env_value_domain = env_value_domain
         self.budget = budget or SearchBudget()
         self._initial: tuple[GlobalState, ...] | None = None
@@ -83,9 +78,7 @@ class TransitionCache:
                     successors(
                         self.composition, state, self.domain,
                         self.semantics,
-                        include_environment=self.include_environment,
-                        env_max_nested_rows=self.env_max_nested_rows,
-                        env_one_action_per_move=self.env_one_action_per_move,
+                        env_one_action_per_move=True,
                         env_value_domain=self.env_value_domain,
                     )
                 )
@@ -99,6 +92,44 @@ class TransitionCache:
     @property
     def states_expanded(self) -> int:
         return len(self._successors)
+
+
+class PairTransitions:
+    """The transition relation over (previous, current) snapshot pairs.
+
+    Wraps a :class:`TransitionCache` for refutations whose atoms read
+    the previous snapshot; initial and successor order follow the
+    wrapped relation's.
+    """
+
+    def __init__(self, inner: TransitionCache) -> None:
+        self.inner = inner
+        self.composition = inner.composition
+        self.budget = inner.budget
+
+    def initial(self) -> tuple[PairState, ...]:
+        return tuple(PairState(None, s) for s in self.inner.initial())
+
+    def successors_of(self, pair: PairState) -> tuple[PairState, ...]:
+        cur = pair.current
+        return tuple(PairState(cur, nxt)
+                     for nxt in self.inner.successors_of(cur))
+
+    @property
+    def states_expanded(self) -> int:
+        return self.inner.states_expanded
+
+
+def transitions(composition: Composition,
+                databases: Mapping[str, Instance],
+                domain: Sequence[Value],
+                semantics: ChannelSemantics,
+                pairs: bool = False,
+                **options) -> TransitionCache | PairTransitions:
+    """A fresh transition relation, over pairs when *pairs* is set."""
+    cache = TransitionCache(composition, databases, domain, semantics,
+                            **options)
+    return PairTransitions(cache) if pairs else cache
 
 
 #: A product node: (system snapshot, Büchi state).

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -236,16 +235,3 @@ class VerificationResult:
             )
         return lines
 
-
-class Stopwatch:
-    """Tiny context manager accumulating wall time into VerifierStats."""
-
-    def __init__(self, stats: VerifierStats) -> None:
-        self.stats = stats
-
-    def __enter__(self) -> "Stopwatch":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stats.wall_seconds += time.perf_counter() - self._t0

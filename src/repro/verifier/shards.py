@@ -36,9 +36,7 @@ import pickle
 from typing import Mapping, Sequence
 
 from ..obs import ledger
-from ..obs.metrics import COMPAT_SCHEMAS as METRICS_COMPAT
-from ..obs.metrics import SCHEMA as METRICS_SCHEMA
-from ..obs.metrics import REGISTRY, merge_numeric
+from ..obs.metrics import REGISTRY, MetricsRegistry
 from ..spec.composition import Composition
 from .result import Counterexample, VerificationResult, VerifierStats
 
@@ -117,57 +115,20 @@ def shard_fragment(results: Sequence[VerificationResult],
 
 
 def merge_metrics_snapshots(snapshots: Sequence[Mapping]) -> dict:
-    """Combine ``repro.metrics/1`` snapshots without touching a registry.
+    """Combine ``repro.metrics/1`` snapshots without touching this
+    process's registry.
 
-    Counters and phases add, gauges take the max (high-water marks),
-    histograms add bucket-wise when boundaries agree (and keep the
-    first shard's data otherwise -- mismatched boundaries cannot be
-    combined losslessly).
+    The snapshots fold into a fresh
+    :class:`~repro.obs.metrics.MetricsRegistry` by its merge rules
+    (:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`); the
+    first snapshot's histogram boundaries win.
     """
-    counters: dict = {}
-    gauges: dict = {}
-    histograms: dict = {}
-    phase_seconds: dict = {}
-    phase_counts: dict = {}
+    registry = MetricsRegistry()
     for snap in snapshots:
-        if snap.get("schema") not in METRICS_COMPAT:
-            raise ValueError(
-                f"cannot merge metrics snapshot with schema "
-                f"{snap.get('schema')!r}; expected one of "
-                f"{sorted(METRICS_COMPAT)}"
-            )
-        merge_numeric(counters, snap.get("counters", {}))
-        for name, value in snap.get("gauges", {}).items():
-            gauges[name] = max(gauges.get(name, value), value)
-        for name, hist in snap.get("histograms", {}).items():
-            seen = histograms.get(name)
-            if seen is None:
-                histograms[name] = {
-                    "boundaries": list(hist["boundaries"]),
-                    "counts": list(hist["counts"]),
-                    "sum": hist["sum"],
-                    "count": hist["count"],
-                }
-            elif seen["boundaries"] == list(hist["boundaries"]):
-                seen["counts"] = [
-                    a + b for a, b in zip(seen["counts"], hist["counts"])
-                ]
-                seen["sum"] += hist["sum"]
-                seen["count"] += hist["count"]
-        for name, entry in snap.get("phases", {}).items():
-            merge_numeric(phase_seconds, {name: entry["seconds"]})
-            merge_numeric(phase_counts, {name: entry["count"]})
-    return {
-        "schema": METRICS_SCHEMA,
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-        "histograms": dict(sorted(histograms.items())),
-        "phases": {
-            name: {"seconds": phase_seconds[name],
-                   "count": phase_counts.get(name, 0)}
-            for name in sorted(phase_seconds)
-        },
-    }
+        registry.merge_snapshot(snap)
+    merged = registry.snapshot()
+    merged.pop("run", None)
+    return merged
 
 
 def _validate_fragments(fragments: Sequence[Mapping]) -> int:
@@ -309,7 +270,8 @@ def result_from_merged(entry: Mapping) -> VerificationResult:
 
     The counterexample is unpickled from the decisive shard's fragment,
     so differential tests can compare the merged lasso bit-for-bit
-    against an unsharded run.
+    against an unsharded run.  Unpickling can run code: call this only
+    on fragments this process wrote (``repro merge-shards`` never does).
     """
     stats_in = entry["stats"]
     stats = VerifierStats(

@@ -7,7 +7,8 @@ counterexample lasso must be bit-for-bit identical across
 * worker counts (1 / 2 / 4),
 * ``--shard`` runs -- a trivial 1-shard run and a 3-shard split merged
   back through :func:`repro.verifier.merge_fragments`,
-* the ``fork`` and ``spawn`` start methods, and
+* the ``fork`` and ``spawn`` start methods (with fair scheduling too),
+* the interpreter's hash seed (``PYTHONHASHSEED``), and
 * a pool crash: a worker killed mid-task must trip the
   ``BrokenProcessPool`` fallback, which re-runs the sweep in the driver
   with the same verdict.
@@ -20,8 +21,13 @@ payload's pickle protocol.  A hypothesis property closes the loop over
 random sender-receiver style compositions.
 """
 
+import json
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +43,7 @@ from repro.verifier import (
     result_from_merged, shard_filter, shard_fragment, verification_domain,
     verify,
 )
+from repro.verifier.domain import VerificationDomain
 from repro.verifier.parallel import (
     SweepContext, SweepPayload, SweepTask, payload_to_bytes, plan_batches,
 )
@@ -177,7 +184,7 @@ def test_payload_ships_at_highest_protocol():
     payload = SweepPayload(
         composition=comp,
         contexts=(SweepContext(tuple(sorted(dbs.items())), dom),),
-        sentences=(),
+        groups=(),
         semantics=DECIDABLE_DEFAULT,
         frozen_graph=graph,
     )
@@ -311,6 +318,87 @@ def test_spawn_start_method_smoke(monkeypatch):
     par = _verify(comp, dbs, LIVENESS, workers=2)
     _assert_equivalent(reference, par, comp, dbs, dom.values)
     _assert_no_children()
+
+
+FAIR_PROP = "forall x, y: G( P1.seen(x) & P1.seen(y) -> x = y )"
+FAIR_DOMAIN = VerificationDomain(("a",), ("$f0", "$f1"))
+
+
+def open_relay_case():
+    """An open composition: P0 sends to the environment, which feeds P1."""
+    sender = (
+        PeerBuilder("P0")
+        .database("items", 1)
+        .input("pick", 1)
+        .flat_out_queue("outbound", 1)
+        .input_rule("pick", ["x"], "items(x)")
+        .send_rule("outbound", ["x"], "pick(x)")
+        .build()
+    )
+    receiver = (
+        PeerBuilder("P1")
+        .state("seen", 1)
+        .flat_in_queue("inbound", 1)
+        .insert_rule("seen", ["x"], "?inbound(x)")
+        .build()
+    )
+    comp = Composition([sender, receiver])
+    return comp, {"P0": Instance({"items": [("a",)]})}
+
+
+def _fair_probe(workers):
+    """The open relay under fair scheduling: its two Until-bearing
+    fairness terms make the automaton's acceptance order matter."""
+    comp, dbs = open_relay_case()
+    return verify(comp, FAIR_PROP, dbs, domain=FAIR_DOMAIN,
+                  fair_scheduling=True, workers=workers)
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_fair_scheduling_across_workers_and_start_methods(monkeypatch,
+                                                          start_method):
+    comp, dbs = open_relay_case()
+    reference = _fair_probe(workers=1)
+    assert not reference.satisfied
+    monkeypatch.setenv("REPRO_START_METHOD", start_method)
+    par = _fair_probe(workers=2)
+    _assert_equivalent(reference, par, comp, dbs, FAIR_DOMAIN.values)
+    _assert_no_children()
+
+
+_HASH_SEED_PROBE = """
+import json
+from tests.test_distributed_sweep import _fair_probe
+r = _fair_probe(workers=1)
+cex = r.counterexample
+key = lambda s: (s.mover, sorted(s.enqueued), sorted(s.sent),
+                 sorted((n, sorted(map(repr, rows)))
+                        for n, rows in s.data.items()),
+                 [(n, [sorted(map(repr, m)) for m in c])
+                  for n, c in s.queues])
+print(json.dumps({
+    "nodes": r.stats.product_nodes_visited,
+    "valuation": sorted(cex.valuation.items()),
+    "lasso": repr(([key(s) for s in cex.lasso.prefix],
+                   [key(s) for s in cex.lasso.cycle])),
+}))
+"""
+
+
+def test_verdict_independent_of_hash_seed():
+    """Node counts and lassos do not follow ``PYTHONHASHSEED``."""
+    root = Path(__file__).resolve().parent.parent
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(root / "src"), str(root)]))
+        out = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE], env=env, cwd=root,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        runs.append(json.loads(out.strip().splitlines()[-1]))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.fuzz import (
 )
 from repro.ltlfo.parser import parse_ltlfo
 from repro.spec.dsl import compositions_equal, load_document
-from repro.verifier import verify
+from repro.verifier import verify_all
 
 ALL_ROWS = sorted(THEOREM_ROWS)
 
@@ -77,19 +77,19 @@ def test_unverifiable_row_runs_static_oracles_only():
     assert not outcome.verified
 
 
-def _flip_verdicts(comp, prop, dbs, **kwargs):
-    """A planted production bug: ``verify`` reports violations as
+def _flip_verdicts(comp, props, dbs, **kwargs):
+    """A planted production bug: ``verify_all`` reports violations as
     satisfied (dropping the counterexample)."""
-    result = verify(comp, prop, dbs, **kwargs)
-    if not result.satisfied:
-        return dataclasses.replace(
-            result, satisfied=True, counterexample=None)
-    return result
+    return [
+        dataclasses.replace(result, satisfied=True, counterexample=None)
+        if not result.satisfied else result
+        for result in verify_all(comp, props, dbs, **kwargs)
+    ]
 
 
 def test_mutation_caught_and_shrunk(tmp_path):
     """The differential oracle catches a bug planted in the production
-    ``verify`` and the shrinker produces a minimized .dws reproducer."""
+    ``verify_all`` and the shrinker produces a minimized .dws reproducer."""
     report = fuzz(count=2, seed=0, rows=("3.4",),
                   corpus_dir=tmp_path, verify_hook=_flip_verdicts)
     assert not report.ok, "planted bug escaped the oracle stack"
