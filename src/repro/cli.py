@@ -85,9 +85,8 @@ from pathlib import Path
 from .errors import ReproError
 from .ib import check_composition, summarize
 from .obs import (
-    REGISTRY, begin_run, configure_tracing, diff_numeric, end_run,
-    phase_counts,
-    phase_seconds, set_shard,
+    REGISTRY, begin_run, configure_tracing, counters_snapshot,
+    diff_numeric, end_run, phase_counts, phase_seconds, set_shard,
 )
 from .obs.metrics import SCHEMA as METRICS_SCHEMA
 from .runtime import simulate
@@ -591,6 +590,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     set_shard(shard)
     seconds_before = phase_seconds()
     counts_before = phase_counts()
+    counters_before = counters_snapshot()
     t0 = time.perf_counter()
     names = sorted(properties)
     results = verify_all(
@@ -636,6 +636,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
               f"{cache.get('misses', 0)} misses "
               f"({100.0 * cache.get('hits', 0) / total_lookups:.1f}% "
               "hit rate)")
+    moved = diff_numeric(counters_snapshot(), counters_before)
+    computed = moved.get("step.move_effects_computed", 0)
+    reused = moved.get("step.move_effects_reused", 0)
+    if computed + reused:
+        print(f"  move effects: {computed} computed / {reused} reused "
+              f"({100.0 * reused / (computed + reused):.1f}% reused)")
 
     per_worker = _merge_worker_tables(results)
     if workers > 1 and per_worker:

@@ -64,8 +64,14 @@ class Instance:
         Skips re-freezing/validation; callers must pass frozensets of
         tuples only.  Used on the hot paths of the runtime.
         """
+        return cls._adopt(dict(sorted(data.items())))
+
+    @classmethod
+    def _adopt(cls, data: dict) -> "Instance":
+        """Wrap *data* as is: its keys must already be sorted and its
+        values ``Rows``."""
         self = cls.__new__(cls)
-        self._data = dict(sorted(data.items()))
+        self._data = data
         self._hash = None
         self._indexes = None
         return self
@@ -133,6 +139,10 @@ class Instance:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
+        # equal mappings are equal instances; only mappings that differ
+        # (perhaps just in empty relations) need the canonical forms
+        if self._data == other._data:
+            return True
         return self._canonical() == other._canonical()
 
     def __hash__(self) -> int:
@@ -207,7 +217,11 @@ class Instance:
     def merged(self, other: "Instance") -> "Instance":
         """A copy including *other*'s relations (other wins on collision)."""
         data = dict(self._data)
+        size = len(data)
         data.update(other._data)
+        if len(data) == size:
+            # no new name: the keys keep this instance's sorted order
+            return Instance._adopt(data)
         return Instance._from_frozen(data)
 
     def restricted(self, names: Iterable[str]) -> "Instance":

@@ -18,6 +18,7 @@ from ..fo.terms import Value
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
 from .state import GlobalState, snapshot_view
+from . import reference_step
 from .step import Domain, _row_key, initial_states, successors
 
 
@@ -129,7 +130,9 @@ def validate_lasso(composition: Composition,
     back onto its own first snapshot.  Used by the counterexample-replay
     tests to guard against prefix/cycle-splicing bugs in the emptiness
     search, and available to callers that want defence-in-depth on
-    verifier output.
+    verifier output.  The replay runs on the reference step relation
+    (:mod:`repro.runtime.reference_step`), not on the memoised one that
+    produced the lasso.
 
     The ``env_*`` knobs must match the ones the verifier searched with,
     otherwise environment moves of an open composition are judged
@@ -140,12 +143,12 @@ def validate_lasso(composition: Composition,
     if not states:
         return ["empty lasso"]
 
-    starts = initial_states(composition, databases, domain)
+    starts = reference_step.initial_states(composition, databases, domain)
     if states[0] not in starts:
         problems.append("first snapshot is not a legal initial snapshot")
 
     def succs(state: GlobalState) -> list[GlobalState]:
-        return successors(
+        return reference_step.successors(
             composition, state, domain, semantics,
             env_one_action_per_move=env_one_action_per_move,
             env_value_domain=env_value_domain,

@@ -136,18 +136,9 @@ def last_message(contents: QueueContents) -> frozenset:
     return contents[-1] if contents else frozenset()
 
 
-def snapshot_view(state: GlobalState, composition: Composition) -> Instance:
-    """The relational structure a property/rules see at this snapshot.
-
-    Adds to ``state.data``:
-
-    * ``Receiver.q`` = first message of channel ``q`` (in-queue reading);
-    * ``Sender.q``   = last enqueued message of ``q`` (out-queue reading);
-    * ``Receiver.empty_q`` / ``Receiver.received_q`` propositions;
-    * ``ENV.q`` views of environment channels (first message for channels
-      the environment consumes, last message for channels it feeds);
-    * ``move_W`` for every peer, and ``move_ENV`` when open.
-    """
+def _view_relations(state: GlobalState, composition: Composition
+                    ) -> dict[str, frozenset]:
+    """The relations :func:`snapshot_view` adds to ``state.data``."""
     extra: dict[str, frozenset] = {}
     queue_map = state.queue_map()
     for channel in composition.channels:
@@ -183,4 +174,28 @@ def snapshot_view(state: GlobalState, composition: Composition) -> Instance:
             frozenset({()}) if state.mover == ENVIRONMENT_NAME
             else frozenset()
         )
-    return state.data.merged(Instance._from_frozen(extra))
+    return extra
+
+
+def snapshot_view(state: GlobalState, composition: Composition) -> Instance:
+    """The relational structure a property/rules see at this snapshot.
+
+    Adds to ``state.data``:
+
+    * ``Receiver.q`` = first message of channel ``q`` (in-queue reading);
+    * ``Sender.q``   = last enqueued message of ``q`` (out-queue reading);
+    * ``Receiver.empty_q`` / ``Receiver.received_q`` propositions;
+    * ``ENV.q`` views of environment channels (first message for channels
+      the environment consumes, last message for channels it feeds);
+    * ``move_W`` for every peer, and ``move_ENV`` when open.
+    """
+    return state.data.merged(
+        Instance._from_frozen(_view_relations(state, composition))
+    )
+
+
+def view_relation_names(composition: Composition) -> frozenset[str]:
+    """Names of the relations :func:`snapshot_view` derives from queues,
+    channel events and the mover (the same code builds both)."""
+    empty = GlobalState(data=Instance(), queues=empty_queues(composition))
+    return frozenset(_view_relations(empty, composition))

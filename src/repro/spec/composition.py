@@ -31,9 +31,10 @@ from ..fo.schema import (
     ENVIRONMENT_NAME, RelationKind, RelationSymbol, Schema,
     empty_name, error_name, move_name, prev_name, received_name,
 )
+from ..fo.formulas import relations
 from ..fo.terms import Value
 from .peer import Peer
-from .rules import Rule
+from .rules import Rule, RuleKind
 from .validate import validate_composition_channels
 
 
@@ -62,6 +63,37 @@ class Channel:
         return f"{src} --{self.name}/{self.arity} ({shape})--> {dst}"
 
 
+@dataclass(frozen=True, slots=True)
+class PeerMoves:
+    """A peer's move table: its qualified rules resolved by target.
+
+    Resolved once per composition, so a move looks its rules up by
+    position instead of scanning the rule set.  Each entry keeps the
+    *first* rule of its kind and target, as a scan would.
+
+    * ``states``: ``(relation, insert rule, delete rule)`` for every
+      state relation with at least one of the two rules;
+    * ``actions``: ``(relation, rule)`` for every action relation;
+    * ``inputs``: ``(relation, prev_ relation, arity, input rule)``;
+    * ``sends``: ``(channel, send rule, error_ flag or None)`` for every
+      out-queue, in declaration order (nested queues have no flag);
+    * ``consumed``: the in-queue channels a move dequeues
+      (Definition 2.4: those mentioned in some rule), in channel order;
+    * ``reads``: every relation a move's effect depends on -- what the
+      rules read plus the peer's own state and input relations --
+      sorted; ``input_reads``: what the input rules read, sorted.
+    """
+
+    peer: str
+    states: tuple
+    actions: tuple
+    inputs: tuple
+    sends: tuple
+    consumed: tuple[str, ...]
+    reads: tuple[str, ...]
+    input_reads: tuple[str, ...]
+
+
 class Composition:
     """An immutable set of peers wired through channels."""
 
@@ -83,6 +115,9 @@ class Composition:
         self.schema: Schema = self._build_schema()
         self._qualified_rules: Mapping[str, tuple[Rule, ...]] = {
             p.name: self._qualify_rules(p) for p in peer_list
+        }
+        self._moves: Mapping[str, PeerMoves] = {
+            p.name: self._resolve_moves(p) for p in peer_list
         }
 
     # -- wiring ---------------------------------------------------------
@@ -161,6 +196,13 @@ class Composition:
         """The peer's rules with all relation names composition-qualified."""
         return self._qualified_rules[peer_name]
 
+    def moves(self, peer_name: str) -> PeerMoves:
+        """The peer's move table (see :class:`PeerMoves`)."""
+        try:
+            return self._moves[peer_name]
+        except KeyError:
+            raise SpecificationError(f"unknown peer {peer_name!r}") from None
+
     def constants(self) -> frozenset[Value]:
         """All constants in any peer's rules."""
         out: set[Value] = set()
@@ -228,6 +270,52 @@ class Composition:
             for sym in peer.local_schema
         }
         return tuple(rule.rename_relations(mapping) for rule in peer.rules)
+
+    def _resolve_moves(self, peer: Peer) -> PeerMoves:
+        rules = self._qualified_rules[peer.name]
+
+        def q(name: str) -> str:
+            return f"{peer.name}.{name}"
+
+        def find(kind: RuleKind, name: str) -> Rule | None:
+            return next((r for r in rules
+                         if r.kind == kind and r.target == q(name)), None)
+
+        reads = {q(sym.name) for sym in peer.states + peer.inputs}
+        input_reads: set[str] = set()
+        for rule in rules:
+            reads |= relations(rule.body)
+            if rule.kind == RuleKind.INPUT:
+                input_reads |= relations(rule.body)
+        states = (
+            (q(sym.name), find(RuleKind.INSERT, sym.name),
+             find(RuleKind.DELETE, sym.name))
+            for sym in peer.states
+        )
+        consumed = peer.consumed_in_queues()
+        return PeerMoves(
+            peer=peer.name,
+            states=tuple(s for s in states
+                         if s[1] is not None or s[2] is not None),
+            actions=tuple((q(sym.name), find(RuleKind.ACTION, sym.name))
+                          for sym in peer.actions),
+            inputs=tuple(
+                (q(sym.name), q(prev_name(sym.name)), sym.arity,
+                 find(RuleKind.INPUT, sym.name))
+                for sym in peer.inputs
+            ),
+            sends=tuple(
+                (self.channel(sym.name), find(RuleKind.SEND, sym.name),
+                 None if sym.nested else q(error_name(sym.name)))
+                for sym in peer.out_queues
+            ),
+            consumed=tuple(
+                c.name for c in self.channels
+                if c.receiver == peer.name and c.name in consumed
+            ),
+            reads=tuple(sorted(reads)),
+            input_reads=tuple(sorted(input_reads)),
+        )
 
     def __repr__(self) -> str:
         kind = "closed" if self.is_closed else "open"

@@ -34,7 +34,12 @@ class SearchBudget:
 
 
 class TransitionCache:
-    """Memoized transition relation of one composition + database + domain."""
+    """Memoized transition relation of one composition + database + domain.
+
+    The step relation is :mod:`repro.runtime.step`'s; a subclass swaps
+    it by overriding ``_initial_states`` and ``_expand`` (the reference
+    checker runs on :mod:`repro.runtime.reference_step`).
+    """
 
     def __init__(self, composition: Composition,
                  databases: Mapping[str, Instance],
@@ -56,13 +61,24 @@ class TransitionCache:
         self.budget = budget or SearchBudget()
         self._initial: tuple[GlobalState, ...] | None = None
         self._successors: dict[GlobalState, tuple[GlobalState, ...]] = {}
+        # one object per distinct snapshot: most successors repeat one
+        # already seen, and the memo keeps only the first copy alive
+        self._snapshots: dict[GlobalState, GlobalState] = {}
 
     def initial(self) -> tuple[GlobalState, ...]:
         if self._initial is None:
-            self._initial = tuple(
-                initial_states(self.composition, self.databases, self.domain)
-            )
+            self._initial = tuple(self._initial_states())
         return self._initial
+
+    def _initial_states(self) -> list[GlobalState]:
+        return initial_states(self.composition, self.databases, self.domain)
+
+    def _expand(self, state: GlobalState) -> list[GlobalState]:
+        return successors(
+            self.composition, state, self.domain, self.semantics,
+            env_one_action_per_move=True,
+            env_value_domain=self.env_value_domain,
+        )
 
     def successors_of(self, state: GlobalState) -> tuple[GlobalState, ...]:
         cached = self._successors.get(state)
@@ -74,14 +90,8 @@ class TransitionCache:
                     "reduce the domain, queue bound, or composition size"
                 )
             with phase(PHASE_EXPAND):
-                cached = tuple(
-                    successors(
-                        self.composition, state, self.domain,
-                        self.semantics,
-                        env_one_action_per_move=True,
-                        env_value_domain=self.env_value_domain,
-                    )
-                )
+                known = self._snapshots.setdefault
+                cached = tuple(known(s, s) for s in self._expand(state))
             self._successors[state] = cached
             counter("product.states_expanded").inc()
             histogram("product.branching_factor",

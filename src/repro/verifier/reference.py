@@ -15,7 +15,9 @@ valuation and order, lasso, ``valuations_checked`` and
 expands only what its searches touch).  Shared with the sweep is only
 spec-level code: parsing, the input-boundedness gate, the domain and
 its valuations, and the refutation object that builds each valuation's
-violation automaton.
+violation automaton.  Its transition relation is
+:mod:`repro.runtime.reference_step`, not the memoised production step
+path, so the differential checks state expansion too.
 """
 
 from __future__ import annotations
@@ -27,16 +29,35 @@ from ..errors import VerificationError
 from ..fo.instance import Instance
 from ..fo.terms import Value
 from ..ltlfo.formulas import LTLFOSentence
+from ..runtime import reference_step
 from ..runtime.run import Lasso
+from ..runtime.state import GlobalState
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
 from .atoms import SnapshotEvaluator, snapshot_of
 from .domain import VerificationDomain, verification_domain
 from .ltlfo_verifier import _as_sentence, _check_restrictions, _valuations
-from .product import ProductSystem, SearchBudget, transitions
+from .product import (
+    PairTransitions, ProductSystem, SearchBudget, TransitionCache,
+)
 from .refutation import PropertyRefutation
 from .result import Counterexample, VerificationResult, VerifierStats
 from .search import find_accepting_lasso
+
+
+class ReferenceTransitions(TransitionCache):
+    """A :class:`TransitionCache` over the reference step relation."""
+
+    def _initial_states(self) -> list[GlobalState]:
+        return reference_step.initial_states(
+            self.composition, self.databases, self.domain)
+
+    def _expand(self, state: GlobalState) -> list[GlobalState]:
+        return reference_step.successors(
+            self.composition, state, self.domain, self.semantics,
+            env_one_action_per_move=True,
+            env_value_domain=self.env_value_domain,
+        )
 
 
 def verify_reference(composition: Composition,
@@ -73,9 +94,11 @@ def verify_reference(composition: Composition,
         group = prop
         if domain is None:
             raise VerificationError("a refutation needs its domain")
-    cache = transitions(composition, databases, domain.values, semantics,
-                        pairs=group.pairs, budget=budget,
-                        env_value_domain=env_value_domain)
+    cache = ReferenceTransitions(composition, databases, domain.values,
+                                 semantics, budget=budget,
+                                 env_value_domain=env_value_domain)
+    if group.pairs:
+        cache = PairTransitions(cache)
     stats = VerifierStats()
     counterexample = None
     for order, valuation in enumerate(
