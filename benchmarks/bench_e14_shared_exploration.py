@@ -9,10 +9,9 @@ fragments across valuations.  Rows measured here:
   sequentially by ``verify`` and by the per-valuation reference checker
   (``verify_reference``, the case keys' "seed") -- the shared sweep
   must be at least ``REPRO_BENCH_MIN_SPEEDUP`` (default 3x) faster;
-* the same sweep at ``--workers`` -- the driver pre-expands the graph
-  once and ships the frozen CSR to the pool, so the run must show
-  frozen-graph serving (``graph.reuse_hits``) and at most ONE full
-  expansion (``product.states_expanded``), not one per worker;
+* the same sweep's graph counters -- the run must show frozen-graph
+  serving (``graph.reuse_hits``) and at most ONE full expansion
+  (``product.states_expanded``), not one per valuation;
 * a quick parity row over the standard candidates for the CI smoke
   job: ``verify`` and the reference agree node for node.
 
@@ -30,7 +29,7 @@ from repro.library.loan import (
 from repro.obs import counters_snapshot
 from repro.verifier import verification_domain, verify, verify_reference
 
-from harness import bench_workers, record, record_speedup, snapshot_metrics
+from harness import record, snapshot_metrics
 
 EXPERIMENT = "PR5"
 
@@ -71,10 +70,11 @@ def test_shared_vs_seed_sequential(benchmark):
     assert seed.stats.valuations_checked >= 8
     assert (shared.stats.product_nodes_visited
             == seed.stats.product_nodes_visited)
-    speedup = record_speedup(
-        EXPERIMENT, "loan letter sweep, shared vs seed", seed, shared,
-        workers=1,
-    )
+    speedup = seed.stats.wall_seconds / shared.stats.wall_seconds
+    case = "loan letter sweep, shared vs seed"
+    snapshot_metrics(EXPERIMENT, f"{case} [seed]", seed)
+    snapshot_metrics(EXPERIMENT, f"{case} [shared]", shared,
+                     extra={"speedup": speedup})
     floor = _min_speedup()
     assert speedup >= floor, (
         f"shared sweep only {speedup:.2f}x faster than the reference "
@@ -83,27 +83,23 @@ def test_shared_vs_seed_sequential(benchmark):
     )
 
 
-def test_workers_serve_frozen_graph(benchmark):
-    """Workers walk the shipped CSR; nobody re-expands the graph."""
+def test_sweep_serves_frozen_graph(benchmark):
+    """Valuations walk the frozen graph; nobody re-expands it."""
     before = counters_snapshot()
-    workers = bench_workers()
-    result = benchmark.pedantic(_sweep, kwargs={"workers": workers},
-                                rounds=1, iterations=1)
+    result = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     after = counters_snapshot()
-    record(EXPERIMENT, f"loan letter sweep, frozen graph x{workers}",
-           result, True)
+    record(EXPERIMENT, "loan letter sweep, frozen graph", result, True)
 
     reuse = after.get("graph.reuse_hits", 0) - before.get(
         "graph.reuse_hits", 0)
     expanded = after.get("product.states_expanded", 0) - before.get(
         "product.states_expanded", 0)
-    snapshot_metrics(EXPERIMENT, f"frozen-graph counters x{workers}",
-                     result, extra={"reuse_hits": reuse,
-                                    "states_expanded": expanded,
-                                    "workers": workers})
+    snapshot_metrics(EXPERIMENT, "frozen-graph counters", result,
+                     extra={"reuse_hits": reuse,
+                            "states_expanded": expanded})
     assert reuse > 0, "no frozen-graph serving recorded"
-    # One driver-side pre-expansion at most: re-expanding per worker
-    # would show ~workers * |graph| here.
+    # One expansion at most: re-expanding per valuation would show
+    # ~valuations * |graph| here.
     assert expanded <= result.stats.system_states, (
         f"graph re-expanded: {expanded} states expanded for a "
         f"{result.stats.system_states}-state frozen graph"

@@ -8,14 +8,14 @@ semantics makes real).  Rows measured here:
 
 * every documented property of both domains verified by the
   per-valuation reference checker (``verify_reference``, case key
-  "seed x1"), by ``verify`` in process, and by a 4-worker pool, with
+  "seed x1") and by ``verify`` in process ("shared x1"), with
   verdicts, valuation/node counts, and counterexample lassos asserted
-  identical across the three configurations (the determinism contract
+  identical across the two configurations (the determinism contract
   on curated, rather than generated, specs);
 * a 20-case fuzz batch over theorem rows 3.4/3.7/3.9 run through the
   full oracle stack (classifier, dump/load round-trip,
-  reference-vs-production differential, 2-worker pool, 2-shard merge,
-  lasso replay) -- zero oracle violations expected.
+  reference-vs-production differential, 2-shard merge, lasso replay)
+  -- zero oracle violations expected.
 
 All rows land in ``BENCH_PR7.json`` (see harness.snapshot_metrics).
 """
@@ -56,14 +56,13 @@ DOMAINS = {
 CONFIGURATIONS = (
     ("seed x1", verify_reference, {}),
     ("shared x1", verify, dict(workers=1)),
-    ("shared x4", verify, dict(workers=4)),
 )
 
 
 @pytest.mark.parametrize("domain", sorted(DOMAINS))
 def test_domain_configuration_grid(benchmark, domain):
-    """Each property: identical results from the reference, the
-    in-process sweep and 4 workers."""
+    """Each property: identical results from the reference and the
+    in-process sweep."""
     build, databases, candidates, properties = DOMAINS[domain]
     comp, dbs = build(), databases()
 

@@ -19,7 +19,7 @@ from repro.library.loan import (
 )
 from repro.verifier import verification_domain, verify
 
-from harness import bench_workers, record, record_speedup
+from harness import record
 
 
 def _run(category, prop, buggy=False):
@@ -72,26 +72,3 @@ def test_literal_b_form_f2(benchmark):
     )
     record("E1", "property (12) literal B form [finding F2]",
            result, False)
-
-
-def test_parallel_sweep_speedup(benchmark):
-    """Sequential vs parallel sweep of the pointwise bank policy."""
-    composition = loan_composition()
-    databases = standard_database("fair")
-    domain = verification_domain(composition, [], databases,
-                                 fresh_count=1)
-    workers = bench_workers()
-
-    seq = verify(composition, PROPERTY_BANK_POLICY_POINTWISE, databases,
-                 domain=domain, valuation_candidates=STANDARD_CANDIDATES,
-                 workers=1)
-
-    def run_parallel():
-        return verify(composition, PROPERTY_BANK_POLICY_POINTWISE,
-                      databases, domain=domain,
-                      valuation_candidates=STANDARD_CANDIDATES,
-                      workers=workers)
-
-    par = benchmark.pedantic(run_parallel, rounds=1, iterations=1)
-    record_speedup("E1", "parallel sweep: bank policy grid",
-                   seq, par, workers)

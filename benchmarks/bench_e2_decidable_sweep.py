@@ -15,7 +15,7 @@ from repro.library.synthetic import (
 from repro.spec import ChannelSemantics
 from repro.verifier import VerificationDomain, verification_domain, verify
 
-from harness import bench_workers, record, record_speedup
+from harness import record
 
 
 @pytest.mark.parametrize("n_relays", [0, 1, 2, 3])
@@ -59,23 +59,3 @@ def test_sweep_domain_size(benchmark, fresh):
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     record("E2", f"domain sweep: {len(domain.values)} values",
            result, True)
-
-
-def test_parallel_sweep_speedup(benchmark):
-    """Sequential vs parallel sweep of the chain safety valuation grid."""
-    composition = relay_chain(1)
-    databases = chain_databases(1, items=3)
-    domain = verification_domain(composition, [], databases,
-                                 fresh_count=2)
-    prop = chain_safety_property(1)
-    workers = bench_workers()
-
-    seq = verify(composition, prop, databases, domain=domain, workers=1)
-
-    def run_parallel():
-        return verify(composition, prop, databases, domain=domain,
-                      workers=workers)
-
-    par = benchmark.pedantic(run_parallel, rounds=1, iterations=1)
-    record_speedup("E2", "parallel sweep: chain safety grid",
-                   seq, par, workers)

@@ -142,52 +142,3 @@ def record(experiment: str, case: str, result, expected_satisfied: bool
     snapshot_metrics(experiment, case, result)
     assert result.verdict == expected, row.render()
     return row
-
-
-def cores_available() -> int:
-    """CPU cores this process may use (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def bench_workers(default: int = 4) -> int:
-    """Worker count for the parallel speedup rows."""
-    raw = os.environ.get("REPRO_BENCH_WORKERS", "").strip()
-    if raw:
-        return max(1, int(raw))
-    return default
-
-
-def record_speedup(experiment: str, case: str, seq_result, par_result,
-                   workers: int) -> float:
-    """Print a sequential-vs-parallel row and return the speedup factor.
-
-    Asserts the two sweeps agree on verdict and aggregated node counts
-    (the determinism contract of the parallel engine); wall-clock
-    speedup is only reported -- on a single-core box the pool cannot
-    beat the sequential sweep, so any pass/fail threshold must be
-    applied by the caller after checking :func:`cores_available`.
-    """
-    assert par_result.verdict == seq_result.verdict, (
-        f"[{experiment}] {case}: verdict diverged "
-        f"seq={seq_result.verdict} par={par_result.verdict}"
-    )
-    assert (par_result.stats.product_nodes_visited
-            == seq_result.stats.product_nodes_visited), (
-        f"[{experiment}] {case}: node counts diverged"
-    )
-    seq_s = seq_result.stats.wall_seconds
-    par_s = par_result.stats.wall_seconds
-    speedup = seq_s / par_s if par_s > 0 else float("inf")
-    snapshot_metrics(experiment, f"{case} [seq]", seq_result)
-    snapshot_metrics(experiment, f"{case} [par x{workers}]", par_result,
-                     extra={"workers": workers, "speedup": speedup})
-    print(
-        f"[{experiment}] {case:42s} {seq_result.verdict:9s} "
-        f"seq={seq_s:.3f}s par={par_s:.3f}s x{workers} workers "
-        f"speedup={speedup:.2f} (cores={cores_available()})",
-        file=sys.stderr,
-    )
-    return speedup

@@ -60,9 +60,7 @@ from .flow import flow_pass
 from .ib_pass import peer_ib_diagnostics, sentence_ib_diagnostics
 from .lint import _parse_sentences, structural_diagnostics
 from .passes import AnalysisContext
-from .provenance import (
-    _invention_witness, compute_provenance, provenance_pass,
-)
+from .provenance import _invention_witness, provenance_pass
 from .reachability import reachability_pass
 from .rules_pass import peer_rules_diagnostics
 
@@ -247,7 +245,11 @@ def lint_cached_composition(composition: Composition,
     counter("lint.cache_misses").inc()
 
     sentences = _parse_sentences(properties, composition)
-    facts = compute_provenance(composition)
+    ctx = AnalysisContext(
+        composition=composition, sentences=dict(sentences),
+        semantics=semantics, strict=strict,
+    )
+    facts = ctx.provenance
     diagnostics: list[Diagnostic] = []
     for peer in composition.peers:
         key = peer_key(composition, peer, facts, semantics, strict)
@@ -269,10 +271,6 @@ def lint_cached_composition(composition: Composition,
                 "diagnostics": [d.to_dict() for d in found],
             })
 
-    ctx = AnalysisContext(
-        composition=composition, sentences=dict(sentences),
-        semantics=semantics, strict=strict,
-    )
     for name, sentence in sorted(sentences.items()):
         diagnostics.extend(sentence_ib_diagnostics(
             composition, name, sentence, facts, strict))

@@ -241,11 +241,9 @@ def _dropped_chains(graph: CommGraph, composition: Composition,
 
 def flow_pass(ctx: AnalysisContext) -> list[Diagnostic]:
     """Run the three DWV5xx communication-flow detectors."""
-    from .reachability import compute_available
-
     composition = ctx.composition
     graph = build_comm_graph(composition)
-    available = compute_available(composition)
+    available = ctx.available
     out = _deadlock_cycles(graph, composition)
     deadlocked: set[str] = set()
     for d in out:

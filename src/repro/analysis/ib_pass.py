@@ -25,8 +25,7 @@ from ..spec.composition import Composition
 from ..spec.peer import Peer
 from .diagnostics import Diagnostic
 from .passes import AnalysisContext
-from .provenance import compute_provenance, explain_relations, \
-    repair_suggestion
+from .provenance import explain_relations, repair_suggestion
 
 
 def _attach(diag: Diagnostic, lines: list[str]) -> Diagnostic:
@@ -73,7 +72,7 @@ def sentence_ib_diagnostics(composition: Composition, name: str,
 
 
 def ib_pass(ctx: AnalysisContext) -> list[Diagnostic]:
-    facts = compute_provenance(ctx.composition)
+    facts = ctx.provenance
     out: list[Diagnostic] = []
     for peer in ctx.composition.peers:
         out.extend(peer_ib_diagnostics(

@@ -18,6 +18,7 @@ decidability classification that consumes the earlier findings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from ..ltlfo.formulas import LTLFOSentence
@@ -43,6 +44,20 @@ class AnalysisContext:
     #: Filled by the cost pass (see :mod:`repro.analysis.cost`); copied
     #: onto the report by :func:`run_passes`.
     cost_hints: dict = field(default_factory=dict)
+
+    @cached_property
+    def provenance(self) -> dict:
+        """The composition's provenance fixpoint, computed once per
+        context (:func:`~repro.analysis.provenance.compute_provenance`)."""
+        from . import provenance
+        return provenance.compute_provenance(self.composition)
+
+    @cached_property
+    def available(self) -> set:
+        """The composition's may-be-nonempty fixpoint, computed once per
+        context (:func:`~repro.analysis.reachability.compute_available`)."""
+        from . import reachability
+        return reachability.compute_available(self.composition)
 
 
 PassFn = Callable[[AnalysisContext], list[Diagnostic]]

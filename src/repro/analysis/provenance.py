@@ -357,7 +357,7 @@ def _guarded_queue_quantifiers(peer: Peer, strict: bool):
 def provenance_pass(ctx: AnalysisContext) -> list[Diagnostic]:
     """DWV601/602: invented values crossing channels."""
     composition = ctx.composition
-    facts = compute_provenance(composition)
+    facts = ctx.provenance
     out: list[Diagnostic] = []
     for peer in composition.peers:
         for rule, node, guard in _guarded_queue_quantifiers(

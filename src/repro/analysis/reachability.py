@@ -135,7 +135,7 @@ def _mentioned(peer: Peer) -> set[str]:
 
 def reachability_pass(ctx: AnalysisContext) -> list[Diagnostic]:
     composition = ctx.composition
-    available = compute_available(composition)
+    available = ctx.available
     out: list[Diagnostic] = []
     for peer in composition.peers:
         mentioned = _mentioned(peer)

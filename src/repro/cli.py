@@ -4,7 +4,7 @@ Usage::
 
     python -m repro verify SPEC.dws [--property NAME] [--perfect]
                            [--queue-bound K] [--fair] [--fresh N]
-                           [--counterexample] [--workers N] [--stats]
+                           [--counterexample] [--stats]
                            [--lint-first]
                            [--shard i/N] [--shard-output FILE]
                            [--trace FILE.jsonl] [--metrics-json FILE]
@@ -12,7 +12,7 @@ Usage::
     python -m repro lint SPEC.dws|LIBRARY [--format text|json|sarif]
                          [--output FILE] [--strict]
     python -m repro simulate SPEC.dws [--steps N] [--seed S]
-    python -m repro profile SPEC.dws|LIBRARY [--workers N] ...
+    python -m repro profile SPEC.dws|LIBRARY [--shard i/N] ...
     python -m repro merge-shards shard_*.json [--output FILE]
     python -m repro top [--run RUN_ID] [--once]
     python -m repro trace convert TRACE.jsonl... [--output FILE]
@@ -23,18 +23,16 @@ Usage::
 ``--property NAME``) in one :func:`repro.verifier.verify_all` call, so
 the reachable state space is explored once per document, and reports
 verdicts; the exit status is 0 iff all checked properties are
-satisfied.  ``--workers N`` fans the valuation sweep out across N
-processes (``--workers 0``: all cores; default: the ``REPRO_WORKERS``
-environment variable, else sequential); ``--stats`` prints the full
-per-property statistics including task counts, compute time, and
-rule-cache hit rates of the parallel sweep.
+satisfied.  ``--stats`` prints the full per-property statistics,
+including rule-cache hit rates.
 
 ``--shard i/N`` (on ``verify`` and ``profile``) runs only the i-th of
 N deterministic slices of the valuation sweep and writes a mergeable
 fragment (verdicts, per-task stats, metrics snapshot, pickled
-counterexamples); run every shard on its own machine, collect the
-fragments, and ``merge-shards`` reassembles the exact unsharded
-verdict, decisive counterexample, and fleet-wide metrics (see
+counterexamples); run every shard in its own process or on its own
+machine, collect the fragments, and ``merge-shards`` reassembles the
+exact unsharded verdict, decisive counterexample, and fleet-wide
+metrics (see
 :mod:`repro.verifier.shards`).  A shard's own exit status reflects
 only its slice; the merged exit status is the global verdict.
 
@@ -55,17 +53,16 @@ FILE`` (a metrics snapshot plus per-result statistics), and
 ``REPRO_RUN_ID`` environment variable does the same and is the
 idiomatic way to correlate ``--shard`` slices launched on different
 machines).  ``profile`` runs a verification and prints a per-phase
-wall-time breakdown, with per-worker rows when ``--workers > 1``; its
-target is either a ``.dws`` file or one of the built-in library
-examples (``loan``, ``ecommerce``, ``travel``).
+wall-time breakdown; its target is either a ``.dws`` file or one of
+the built-in library examples (``loan``, ``ecommerce``, ``travel``).
 
 The observability surface (see :mod:`repro.obs`): every run command
 opens a **run-ledger** context, so trace events carry ``run`` /
-``worker`` / ``shard`` stamps and long sweeps write heartbeat records
-under the runs directory.  ``repro top`` renders those heartbeats as a
+``shard`` stamps and long sweeps write heartbeat records under the
+runs directory.  ``repro top`` renders those heartbeats as a
 refreshing terminal view of every active run.  ``repro trace convert``
-stitches one run's JSONL trace files (driver + workers + remote
-shards) into a Chrome trace-event JSON loadable in Perfetto.
+stitches one run's JSONL trace files (driver + remote shards) into a
+Chrome trace-event JSON loadable in Perfetto.
 ``repro metrics export`` renders any metrics JSON (snapshot, fragment,
 or merged document) in Prometheus text exposition format.
 ``repro bench check`` is the regression sentinel over
@@ -148,8 +145,7 @@ def _write_metrics_json(path: str | None, command: str,
     """Write the metrics snapshot file for ``--metrics-json``.
 
     Schema (``repro.metrics/2``): the process registry snapshot
-    (counters/gauges/histograms/phases -- driver side only; worker
-    numbers are folded into each result's ``stats``) plus one entry per
+    (counters/gauges/histograms/phases) plus one entry per
     verification result.  The registry snapshot inside carries the
     run-ledger id, correlating this file with the run's trace.
     """
@@ -246,7 +242,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = verify_all(
         composition, [sentences[name] for name in names], databases,
         semantics=_semantics(args), domain=domain,
-        fair_scheduling=args.fair, workers=args.workers, shard=shard,
+        fair_scheduling=args.fair, shard=shard,
     )
     all_ok = all(r.satisfied for r in results)
     entries: list[dict] = []
@@ -533,28 +529,6 @@ def _phase_rows(seconds: dict, counts: dict, total: float) -> list[str]:
     return rows
 
 
-def _merge_worker_tables(results: list) -> dict[str, dict]:
-    """Fold every result's per-worker stats into one table."""
-    merged: dict[str, dict] = {}
-    for result in results:
-        for worker, slot in result.stats.per_worker.items():
-            into = merged.setdefault(worker, {
-                "tasks": 0, "task_seconds": 0.0,
-                "phase_seconds": {}, "rule_cache": {},
-            })
-            into["tasks"] += slot["tasks"]
-            into["task_seconds"] += slot["task_seconds"]
-            for name, sec in slot["phase_seconds"].items():
-                into["phase_seconds"][name] = (
-                    into["phase_seconds"].get(name, 0.0) + sec
-                )
-            for key, val in slot["rule_cache"].items():
-                into["rule_cache"][key] = (
-                    into["rule_cache"].get(key, 0) + val
-                )
-    return merged
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     target = args.spec
     if target not in PROFILE_LIBRARIES and not Path(target).is_file():
@@ -597,7 +571,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         composition, [properties[name] for name in names], databases,
         semantics=semantics, domain=domain,
         valuation_candidates=candidates, fair_scheduling=args.fair,
-        workers=args.workers, shard=shard,
+        shard=shard,
     )
     all_ok = all(r.satisfied for r in results)
     entries: list[dict] = []
@@ -612,9 +586,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     driver_seconds = diff_numeric(phase_seconds(), seconds_before)
     driver_counts = diff_numeric(phase_counts(), counts_before)
 
-    workers = max(r.stats.workers for r in results)
-    print(f"\nprofile: {target} ({len(results)} properties, "
-          f"workers={workers})")
+    print(f"\nprofile: {target} ({len(results)} properties)")
     print(f"  {'phase':12s} {'count':>8s} {'seconds':>11s} {'%':>6s}")
     for row in _phase_rows(driver_seconds, driver_counts, wall):
         print(row)
@@ -623,8 +595,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     compute = sum(r.stats.task_seconds + r.stats.cancelled_task_seconds
                   for r in results)
     if compute:
-        print(f"  sweep compute: {compute:.3f}s across tasks "
-              f"(parallelism {compute / wall:.2f}x)")
+        print(f"  sweep compute: {compute:.3f}s across tasks")
 
     cache = {}
     for r in results:
@@ -642,26 +613,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if computed + reused:
         print(f"  move effects: {computed} computed / {reused} reused "
               f"({100.0 * reused / (computed + reused):.1f}% reused)")
-
-    per_worker = _merge_worker_tables(results)
-    if workers > 1 and per_worker:
-        print("\n  per-worker breakdown (compute seconds by phase):")
-        for worker in sorted(per_worker):
-            slot = per_worker[worker]
-            phases = " ".join(
-                f"{name}={slot['phase_seconds'][name]:.3f}s"
-                for name in _PHASE_ORDER
-                if name in slot["phase_seconds"]
-            )
-            wcache = slot["rule_cache"]
-            lookups = wcache.get("hits", 0) + wcache.get("misses", 0)
-            if lookups:
-                pct = 100.0 * wcache.get("hits", 0) / lookups
-                rate = f" cache-hit={pct:.0f}%"
-            else:
-                rate = ""
-            print(f"    {worker}: tasks={slot['tasks']} "
-                  f"compute={slot['task_seconds']:.3f}s {phases}{rate}")
 
     if shard is not None:
         _write_shard_fragment(args, shard, results, composition)
@@ -939,10 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="restrict to fair scheduling")
     p_verify.add_argument("--counterexample", action="store_true",
                           help="print counterexample runs")
-    p_verify.add_argument("--workers", type=int, default=None,
-                          help="parallel sweep worker processes "
-                               "(0: all cores; default: $REPRO_WORKERS "
-                               "or sequential)")
     p_verify.add_argument("--stats", action="store_true",
                           help="print full per-property statistics")
     p_verify.add_argument("--lint-first", action="store_true",
@@ -1008,9 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="profile only this property (repeatable)")
     p_prof.add_argument("--fair", action="store_true",
                         help="restrict to fair scheduling")
-    p_prof.add_argument("--workers", type=int, default=None,
-                        help="parallel sweep worker processes "
-                             "(0: all cores)")
     _add_shard_options(p_prof)
     p_prof.set_defaults(func=cmd_profile)
 
@@ -1081,8 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_convert.add_argument("inputs", nargs="+", metavar="TRACE.jsonl",
                            help="trace files of one run (driver + "
-                                "shards; workers share the driver's "
-                                "file)")
+                                "shards)")
     p_convert.add_argument("--output", metavar="FILE", default=None,
                            help="output path (default: first input "
                                 "with .chrome.json suffix)")

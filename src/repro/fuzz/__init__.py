@@ -10,8 +10,8 @@ the reproduction into its own test subject:
 * :mod:`repro.fuzz.harness` -- runs every generated spec through the
   full pipeline under a stack of layered oracles: the static analyzer
   must never crash and must classify the spec into its requested row,
-  the ``seed`` and ``shared`` engines (and worker counts, and shard
-  splits merged back) must agree bit-for-bit, and every counterexample
+  the ``seed`` and ``shared`` engines (and shard splits merged back)
+  must agree bit-for-bit, and every counterexample
   must replay through :func:`repro.runtime.validate_lasso`;
 * :mod:`repro.fuzz.shrink` -- minimizes any failing case by deleting
   peers, rules, declarations, database rows and properties while the

@@ -14,9 +14,9 @@ of its verdict:
    standalone reference checker (:func:`repro.verifier.verify_reference`)
    agree bit-for-bit: verdict, decisive order, valuation/node counts,
    decisive valuation, and counterexample lasso.
-4. **Distribution** -- a 2-worker sweep and a 2-way ``--shard`` split
-   merged back through :func:`merge_fragments` both reproduce the
-   sequential production result exactly.
+4. **Distribution** -- a 2-way ``--shard`` split merged back through
+   :func:`merge_fragments` reproduces the unsharded production result
+   exactly.
 5. **Replay** -- every counterexample lasso replays as a genuine run
    through :func:`repro.runtime.validate_lasso`.
 6. **Verdict** -- rows with certain expected verdicts (the decidable
@@ -26,7 +26,7 @@ Oracles 3-6 only run where the configuration is verifiable (bounded
 queues); row 3.5 runs them with the IB pre-check disabled, which is
 exactly the bug-finding-stays-sound claim of the paper's Section 3.
 
-Each production run -- sequential, 2-worker, and each shard -- is one
+Each production run -- unsharded and each shard -- is one
 ``verify_all`` over all of the spec's properties; the reference runs
 per property.  The ``verify_hook`` seam stands in for every production
 ``verify_all`` call (never for the reference) and exists for the
@@ -207,18 +207,6 @@ def _compare_results(reference, other, what: str) -> list[str]:
     return [f"{what}: {p}" for p in problems]
 
 
-def _run_production(verify_hook: VerifyHook, spec: GeneratedSpec,
-                    texts: Sequence[str], oracle: str, what: str,
-                    out: list[OracleViolation], **kwargs) -> list | None:
-    """One production ``verify_all`` over the spec's properties."""
-    try:
-        return verify_hook(spec.composition, texts, spec.databases,
-                           **kwargs)
-    except Exception as err:
-        out.append(OracleViolation(oracle, f"{what} crashed: {err!r}"))
-        return None
-
-
 def _verify_oracles(spec: GeneratedSpec,
                     verify_hook: VerifyHook) -> list[OracleViolation]:
     comp, dbs = spec.composition, spec.databases
@@ -231,14 +219,14 @@ def _verify_oracles(spec: GeneratedSpec,
     )
     out: list[OracleViolation] = []
 
-    productions = _run_production(verify_hook, spec, texts, "engine",
-                                  "sequential verify_all", out, **kwargs)
-    if productions is None:
+    try:
+        productions = verify_hook(comp, texts, dbs, **kwargs)
+    except Exception as err:
+        out.append(OracleViolation(
+            "engine", f"unsharded verify_all crashed: {err!r}"))
         return out
-    # distribution: a worker pool and a merged shard split, each one
-    # verify_all over every property
-    pooled = _run_production(verify_hook, spec, texts, "workers",
-                             "2-worker sweep", out, workers=2, **kwargs)
+    # distribution: a merged shard split, one verify_all per shard over
+    # every property
     merged = None
     try:
         fragments = [
@@ -280,10 +268,6 @@ def _verify_oracles(spec: GeneratedSpec,
                        for p in _compare_results(
                            reference, production,
                            f"{name} reference-vs-production"))
-        if pooled is not None:
-            out.extend(OracleViolation("workers", p)
-                       for p in _compare_results(
-                           production, pooled[i], f"{name} workers=2"))
         if merged is not None:
             out.extend(OracleViolation("shard", p)
                        for p in _compare_results(

@@ -14,8 +14,8 @@ A zero-dependency measurement substrate for the verifier pipeline:
   *not* double-counted in the parent, so per-phase seconds sum to the
   total instrumented wall time;
 * :mod:`repro.obs.ledger` -- the distributed run ledger: per-run ids
-  stamped into every trace event, propagated through pool workers and
-  remote shards, and a stitcher that reassembles many JSONL streams
+  stamped into every trace event, shared by remote shards, and a
+  stitcher that reassembles many JSONL streams
   into one causally-ordered trace;
 * :mod:`repro.obs.live` -- the live progress plane: heartbeat records
   under a well-known run directory, read by ``repro top``;
@@ -24,10 +24,8 @@ A zero-dependency measurement substrate for the verifier pipeline:
 * :mod:`repro.obs.bench` -- the bench regression sentinel gating
   ``benchmarks/metrics/BENCH_*.json`` trajectories.
 
-The registry and trace sink are per process.  Worker processes of the
-parallel sweep start from a clean slate (:func:`reset_for_worker`) and
-ship their phase/cache deltas back to the driver inside each
-``BatchOutcome``; see :mod:`repro.verifier.parallel`.
+The registry and trace sink are per process; shards of one sweep
+merge their registry snapshots (:mod:`repro.verifier.shards`).
 """
 
 from .bench import (
@@ -39,9 +37,8 @@ from .export import (
     extract_registry_snapshot, render_prometheus,
 )
 from .ledger import (
-    RunContext, Span, StitchedTrace, adopt_worker, begin_run,
-    current_run, current_run_id, end_run, new_run_id, set_shard,
-    stitch, worker_bootstrap,
+    RunContext, Span, StitchedTrace, begin_run, current_run,
+    current_run_id, end_run, new_run_id, set_shard, stitch,
 )
 from .live import (
     NULL_PROGRESS, NullProgress, ProgressPlane, campaign_progress,
@@ -52,7 +49,7 @@ from .metrics import (
     COMPAT_SCHEMAS, DEFAULT_TIME_BUCKETS, Counter, Gauge, Histogram,
     MetricsRegistry,
     REGISTRY, counter, counters_snapshot, diff_numeric, gauge, histogram,
-    merge_counters, merge_numeric, merge_registry_snapshot,
+    merge_numeric, merge_registry_snapshot,
 )
 from .phases import (
     LINT_PHASE_PREFIX, PHASE_EXPAND, PHASE_FO_EVAL, PHASE_IB_CHECK,
@@ -66,20 +63,6 @@ from .trace import (
 )
 
 
-def reset_for_worker() -> None:
-    """Start a fresh per-process observability slate (pool initializer).
-
-    Forked workers inherit the parent's registry contents and the open
-    trace sink; the registry is cleared so per-task deltas are private,
-    while the trace configuration is kept (the sink reopens the JSONL
-    file on first use in the new pid, so worker spans land in the same
-    file as the driver's).
-    """
-    REGISTRY.reset()
-    from . import trace as _trace
-    _trace.reopen_in_child()
-
-
 __all__ = [
     "BenchCheckReport", "COMPAT_SCHEMAS", "Counter",
     "DEFAULT_TIME_BUCKETS", "Gauge", "Histogram",
@@ -88,7 +71,7 @@ __all__ = [
     "PHASE_FO_EVAL", "PHASE_IB_CHECK", "PHASE_LINT", "PHASE_RULE_FIRE",
     "PHASE_SEARCH", "PHASE_SWEEP", "PHASE_TRANSLATE",
     "PHASE_VALUATIONS", "ProgressPlane", "REGISTRY", "Regression",
-    "RunContext", "Span", "StitchedTrace", "adopt_worker", "begin_run",
+    "RunContext", "Span", "StitchedTrace", "begin_run",
     "campaign_progress", "check_directory", "check_entries",
     "chrome_trace_document", "chrome_trace_events",
     "configure_tracing", "convert_trace_files", "counter",
@@ -96,11 +79,10 @@ __all__ = [
     "diff_numeric", "end_run", "extract_registry_snapshot", "gauge",
     "heartbeats_enabled", "histogram", "instant",
     "latest_run", "lint_phase", "list_runs", "load_trajectories",
-    "merge_counters",
     "merge_numeric", "merge_registry_snapshot", "new_run_id", "phase",
     "phase_counts", "phase_seconds",
     "phase_snapshot", "read_progress", "render_progress",
-    "render_prometheus", "reset_for_worker", "run_dir", "runs_root",
+    "render_prometheus", "run_dir", "runs_root",
     "set_shard", "set_stamp", "stamp", "stitch", "sweep_progress",
-    "trace_path", "tracing_enabled", "worker_bootstrap",
+    "trace_path", "tracing_enabled",
 ]

@@ -1,6 +1,6 @@
 """The live progress plane: heartbeat records for running sweeps.
 
-Long sweeps (thousands of valuations, multiple workers, remote shards)
+Long sweeps (thousands of valuations, remote shards)
 are opaque while they run: the trace file is append-only raw material
 and the metrics snapshot only exists at exit.  This module gives every
 *active* run a small, always-current presence on disk:
@@ -105,7 +105,7 @@ class ProgressPlane(NullProgress):
     """Writes rate-limited heartbeats for one run to the runs root.
 
     Single-writer by design: the driver process owns it and folds in
-    worker outcomes as their batches complete, so no cross-process
+    task outcomes as they finish, so no cross-process
     coordination is needed beyond the atomic replace.
     """
 
@@ -135,18 +135,18 @@ class ProgressPlane(NullProgress):
         self.tick()
 
     def add_counters(self, extra: Mapping) -> None:
-        """Fold a flat counter-delta mapping (a worker's) into the view."""
+        """Fold a flat counter-delta mapping into the view."""
         for name, value in extra.items():
             if value:
                 self.counters[name] = self.counters.get(name, 0) + value
 
     def set_info(self, **fields) -> None:
-        """Attach static context (spec path, workers, graph size, ...)."""
+        """Attach static context (spec path, groups, graph size, ...)."""
         self.info.update(
             {k: v for k, v in fields.items() if v is not None})
 
     def reset(self) -> None:
-        """Start progress over (pool-broken -> sequential fallback)."""
+        """Start progress over."""
         self.done = 0
         self.counters.clear()
         self.started = time.time()

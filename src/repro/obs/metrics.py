@@ -216,21 +216,8 @@ class MetricsRegistry:
 
 
 def counters_snapshot() -> dict[str, int]:
-    """Current value of every counter in this process's registry.
-
-    The flat form the parallel sweep ships across process boundaries:
-    workers snapshot before/after a task, :func:`diff_numeric` the two,
-    and the driver folds the delta back in with :func:`merge_counters`
-    so ``--metrics-json`` reports fleet-wide totals.
-    """
+    """Current value of every counter in this process's registry."""
     return {name: c.value for name, c in REGISTRY._counters.items()}
-
-
-def merge_counters(delta: Mapping) -> None:
-    """Add a worker's counter deltas into this process's registry."""
-    for name, value in delta.items():
-        if value:
-            REGISTRY.counter(name).inc(value)
 
 
 def merge_registry_snapshot(snapshot: Mapping) -> None:
@@ -248,8 +235,7 @@ def merge_registry_snapshot(snapshot: Mapping) -> None:
 def merge_numeric(into: dict, extra: Mapping) -> dict:
     """Sum *extra*'s numeric values into *into*, key by key (in place).
 
-    Used to aggregate per-task/per-worker deltas (phase seconds, cache
-    counters) shipped back from pool workers.
+    Used to aggregate per-task deltas (phase seconds, cache counters).
     """
     for key, value in extra.items():
         into[key] = into.get(key, 0) + value
@@ -266,8 +252,7 @@ def diff_numeric(after: Mapping, before: Mapping) -> dict:
     return out
 
 
-#: The process-global registry.  Worker processes reset it on start
-#: (:func:`repro.obs.reset_for_worker`) so their numbers are private.
+#: The process-global registry.
 REGISTRY = MetricsRegistry()
 
 

@@ -4,7 +4,7 @@ Event schema (one JSON object per line; ``repro.trace/2``):
 
 ``ts``
     seconds on the shared monotonic clock (comparable across the
-    driver and fork-started workers on Linux);
+    processes of one machine on Linux);
 ``pid`` / ``tid``
     emitting process and thread;
 ``ph``
@@ -15,7 +15,8 @@ Event schema (one JSON object per line; ``repro.trace/2``):
     optional JSON object of extra fields (instants only);
 ``run`` / ``worker`` / ``shard``
     the run-ledger stamp (:mod:`repro.obs.ledger`): the run id this
-    event belongs to, the pool-worker index, and the ``i/N`` shard
+    event belongs to, the worker index (when the run context names
+    one), and the ``i/N`` shard
     selector.  Present whenever a run context is active; these fields
     are what lets ``repro trace convert`` stitch JSONL files from many
     processes -- and many machines -- into one causally-ordered trace.
@@ -60,14 +61,8 @@ _STAMP: dict = {}
 _ANCHORED_PID: int | None = None
 
 
-def configure_tracing(path: str | None, truncate: bool = True) -> None:
-    """Start tracing to *path*, or stop with ``None``.
-
-    ``truncate=True`` (the driver's path) starts a fresh file;
-    ``truncate=False`` attaches to an existing sink in append mode --
-    how a spawn-started pool worker joins the driver's trace file
-    (:func:`repro.obs.ledger.adopt_worker`).
-    """
+def configure_tracing(path: str | None) -> None:
+    """Start tracing to a fresh file at *path*, or stop with ``None``."""
     global _ENABLED, _PATH, _FILE, _ANCHORED_PID
     with _LOCK:
         if _FILE is not None:
@@ -76,7 +71,7 @@ def configure_tracing(path: str | None, truncate: bool = True) -> None:
         _PATH = path
         _ENABLED = path is not None
         _ANCHORED_PID = None
-        if path is not None and truncate:
+        if path is not None:
             open(path, "w").close()
     if path is not None:
         instant("stream-start", schema=SCHEMA, wall=time.time())
@@ -106,33 +101,6 @@ def stamp() -> dict:
     return dict(_STAMP)
 
 
-def reopen_in_child() -> None:
-    """Flush and drop the inherited handle; the next event reopens.
-
-    Called from the pool-worker initializer.  A forked child inherits
-    the parent's open handle *and* its lock: the handle is flushed and
-    closed (the sink is unbuffered, so this releases the child's dup of
-    the file descriptor without ever replaying parent bytes -- a
-    garbage-collected inherited handle can therefore never emit a
-    partial line into the shared file), and the lock is replaced with a
-    fresh one, because the inherited lock may have been held at fork
-    time by a parent thread that does not exist in the child.  The pid
-    anchor resets so the child's first event is preceded by its own
-    ``stream-start`` clock anchor.
-    """
-    global _FILE, _LOCK, _ANCHORED_PID
-    _LOCK = threading.Lock()
-    inherited = _FILE
-    _FILE = None
-    _ANCHORED_PID = None
-    if inherited is not None:
-        try:
-            inherited.flush()
-            inherited.close()
-        except (OSError, ValueError):  # pragma: no cover - defensive
-            pass
-
-
 def _encode(event: dict) -> bytes:
     return (json.dumps(event, separators=(",", ":"), default=str)
             + "\n").encode("utf-8")
@@ -147,8 +115,8 @@ def _write(event: dict) -> None:
             if _PATH is None:
                 return
             # O_APPEND + buffering=0: every line is a single atomic
-            # write syscall landing at end-of-file, even with the
-            # driver and fork-started workers sharing one sink.
+            # write syscall landing at end-of-file, even with several
+            # processes sharing one sink.
             _FILE = open(_PATH, "ab", buffering=0)
         pid = event["pid"]
         if pid != _ANCHORED_PID:

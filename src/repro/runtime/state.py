@@ -71,7 +71,7 @@ class GlobalState:
 
     def __getstate__(self) -> tuple:
         # the memoized hash is process-dependent (seeded string hashing):
-        # never ship it to pool workers
+        # never pickle it (shard fragments carry pickled counterexamples)
         return (self.data, self.queues, self.mover, self.enqueued,
                 self.sent)
 

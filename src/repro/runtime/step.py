@@ -74,7 +74,7 @@ class _RuleCache:
     state and input relations, and its input choices only on what its
     input rules read.  All three kinds of entry share one LRU store.
 
-    The cache is keyed by the owning process id so that worker processes
+    The cache is keyed by the owning process id so that child processes
     created by ``fork`` never serve (or mutate) entries inherited from
     the parent: the first access in a new process starts from an empty,
     private cache.  Entries are evicted least-recently-used once
@@ -225,16 +225,10 @@ class _RuleCache:
         }
 
 
-def _default_cache_size() -> int:
-    raw = os.environ.get("REPRO_RULE_CACHE_SIZE", "")
-    try:
-        size = int(raw)
-    except ValueError:
-        return 100_000
-    return max(size, 1)
+#: Entry bound of the rule-firing and move-effect memo.
+RULE_CACHE_SIZE = 100_000
 
-
-_RULE_CACHE = _RuleCache(_default_cache_size())
+_RULE_CACHE = _RuleCache(RULE_CACHE_SIZE)
 
 
 def clear_rule_cache() -> None:
@@ -258,9 +252,8 @@ def rule_cache_delta(before: Mapping[str, int]) -> dict[str, int]:
     """Positive counter movement of the rule cache since *before*.
 
     ``before`` is a prior :func:`rule_cache_info` snapshot.  Used to
-    attribute cache activity to one verification call or sweep task
-    (workers ship these deltas back to the driver); a cache clear in
-    between yields partial (never negative) numbers.
+    attribute cache activity to one verification call or sweep cell;
+    a cache clear in between yields partial (never negative) numbers.
     """
     info = _RULE_CACHE.info()
     out: dict[str, int] = {}

@@ -14,7 +14,7 @@ from .graph import (
 )
 from .parallel import (
     SweepContext, SweepPayload, SweepTask, check_one_valuation,
-    grid_tasks, resolve_shard, resolve_workers, run_sweep, shard_filter,
+    grid_tasks, resolve_shard, run_sweep, shard_filter,
 )
 from .shards import (
     MERGED_SCHEMA, SHARD_SCHEMA, merge_fragments,
@@ -26,9 +26,7 @@ from .refutation import PropertyRefutation
 from .result import (
     Counterexample, TaskStats, VerificationResult, VerifierStats,
 )
-from .search import (
-    LassoNodes, SearchCancelled, SearchStats, find_accepting_lasso,
-)
+from .search import LassoNodes, SearchStats, find_accepting_lasso
 from .ltlfo_verifier import (
     preflight, verify, verify_all, verify_over_databases,
 )
@@ -42,7 +40,7 @@ __all__ = [
     "Counterexample", "EventAtom", "ExploredGraph", "InternedProduct",
     "InternedSnapshotEvaluator", "LassoNodes", "MERGED_SCHEMA",
     "OccursAtom", "PairState", "ProductSystem", "PropertyRefutation",
-    "SHARD_SCHEMA", "SearchBudget", "SearchCancelled", "SearchStats",
+    "SHARD_SCHEMA", "SearchBudget", "SearchStats",
     "SharedExploration", "SharedSnapshotContext", "SnapshotEvaluator",
     "StateInterner",
     "SweepContext", "SweepPayload", "SweepTask", "TaskStats",
@@ -53,7 +51,7 @@ __all__ = [
     "grid_tasks", "merge_fragments", "merge_metrics_snapshots",
     "modular_refutation", "observer_translate", "parse_env_spec",
     "preflight",
-    "resolve_shard", "resolve_workers",
+    "resolve_shard",
     "result_from_merged",
     "run_sweep", "shard_filter", "shard_fragment", "spec_sha",
     "translate_env_spec", "verification_domain", "verify",

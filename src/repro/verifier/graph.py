@@ -9,7 +9,7 @@ transitions between them.  The reference checker
 valuations: every valuation re-hashes raw snapshots and re-evaluates
 its letters.
 
-Three pieces remove the redundancy:
+Two pieces remove the redundancy:
 
 * :class:`StateInterner` hash-conses :class:`GlobalState` snapshots into
   dense integer ids, so visited-set membership during the nested DFS is
@@ -22,10 +22,6 @@ Three pieces remove the redundancy:
   buffers, ``offsets``/``targets``.  Once frozen, every subsequent
   valuation's product search is a pure graph walk -- no rule firing, no
   snapshot hashing, no dict-of-states lookups.
-* :class:`ExploredGraph` is picklable, so the parallel sweep's driver
-  can expand once and ship the frozen graph to pool workers
-  (:meth:`SharedExploration.from_graph`), instead of every worker
-  re-expanding the same state space from scratch.
 
 Successor order, initial-state order, and Büchi target order are all
 preserved exactly, so the interned product visits the same nodes in the
@@ -44,22 +40,18 @@ from typing import Iterator
 from ..errors import VerificationError
 from ..obs import counter, gauge
 from ..runtime.state import GlobalState
-from ..spec.composition import Composition
 from .atoms import SharedSnapshotContext
-from .product import (
-    PairTransitions, ProductNode, SearchBudget, TransitionCache,
-)
+from .product import PairTransitions, ProductNode, TransitionCache
+
 
 class StateInterner:
     """Hash-cons snapshots into dense ids (ids are assignment order)."""
 
     __slots__ = ("_ids", "_states")
 
-    def __init__(self, states: tuple[GlobalState, ...] = ()) -> None:
-        self._states: list[GlobalState] = list(states)
-        self._ids: dict[GlobalState, int] = {
-            s: i for i, s in enumerate(self._states)
-        }
+    def __init__(self) -> None:
+        self._states: list[GlobalState] = []
+        self._ids: dict[GlobalState, int] = {}
 
     def intern(self, state: GlobalState) -> int:
         sid = self._ids.get(state)
@@ -88,17 +80,15 @@ class ExploredGraph:
     ``offsets``/``targets`` are ``array('q')`` buffers.
     """
 
-    __slots__ = ("states", "initial_ids", "offsets", "targets", "budget")
+    __slots__ = ("states", "initial_ids", "offsets", "targets")
 
     def __init__(self, states: tuple[GlobalState, ...],
                  initial_ids: tuple[int, ...],
-                 offsets, targets,
-                 budget: SearchBudget) -> None:
+                 offsets, targets) -> None:
         self.states = states
         self.initial_ids = initial_ids
         self.offsets = offsets
         self.targets = targets
-        self.budget = budget
 
     @property
     def num_states(self) -> int:
@@ -119,49 +109,28 @@ class SharedExploration:
     """One interned exploration, reused by every valuation's search.
 
     Wraps a live :class:`TransitionCache` or
-    :class:`~repro.verifier.product.PairTransitions` (driver side) or a
-    frozen :class:`ExploredGraph` (worker side, via :meth:`from_graph`);
-    either way the product search only ever sees integer state ids.
+    :class:`~repro.verifier.product.PairTransitions`; the product search
+    only ever sees integer state ids.
     """
 
     def __init__(self, cache: TransitionCache | PairTransitions) -> None:
-        self.cache: TransitionCache | None = cache
-        self._start(cache.composition, cache.budget, None)
-
-    @classmethod
-    def from_graph(cls, graph: ExploredGraph,
-                   composition: Composition) -> "SharedExploration":
-        """An exploration served entirely from a pre-expanded graph."""
-        self = cls.__new__(cls)
-        self.cache = None
-        self._start(composition, graph.budget, graph)
-        return self
-
-    def _start(self, composition: Composition, budget: SearchBudget,
-               graph: ExploredGraph | None) -> None:
-        self.composition = composition
-        self.budget = budget
-        served = graph is not None
-        self.interner = StateInterner(graph.states if served else ())
-        self._initial_ids: tuple[int, ...] | None = (
-            tuple(graph.initial_ids) if served else None)
+        self.cache = cache
+        self.composition = cache.composition
+        self.budget = cache.budget
+        self.interner = StateInterner()
+        self._initial_ids: tuple[int, ...] | None = None
         self._succ: dict[int, tuple[int, ...]] = {}
-        self._frozen = graph
+        self._frozen: ExploredGraph | None = None
         self._reuse_hits = counter("graph.reuse_hits")
-        self.shared = SharedSnapshotContext(composition, self.interner)
-
-    @property
-    def frozen(self) -> ExploredGraph | None:
-        return self._frozen
+        self.shared = SharedSnapshotContext(self.composition, self.interner)
 
     @property
     def states_expanded(self) -> int:
-        """Snapshots expanded *in this process* (0 for shipped graphs)."""
-        return self.cache.states_expanded if self.cache is not None else 0
+        """Snapshots expanded so far."""
+        return self.cache.states_expanded
 
     def initial_ids(self) -> tuple[int, ...]:
         if self._initial_ids is None:
-            assert self.cache is not None
             self._initial_ids = tuple(
                 self.interner.intern(s) for s in self.cache.initial()
             )
@@ -172,18 +141,11 @@ class SharedExploration:
         if succ is not None:
             self._reuse_hits.inc()
             return succ
-        graph = self._frozen
-        if graph is not None:
-            offsets = graph.offsets
-            succ = tuple(graph.targets[offsets[sid]:offsets[sid + 1]])
-            self._reuse_hits.inc()
-        else:
-            assert self.cache is not None
-            intern = self.interner.intern
-            succ = tuple(
-                intern(s) for s in
-                self.cache.successors_of(self.interner.state_of(sid))
-            )
+        intern = self.interner.intern
+        succ = tuple(
+            intern(s) for s in
+            self.cache.successors_of(self.interner.state_of(sid))
+        )
         self._succ[sid] = succ
         return succ
 
@@ -221,7 +183,7 @@ class SharedExploration:
             offsets.append(len(targets))
         self._frozen = ExploredGraph(
             self.interner.snapshot(), self.initial_ids(), offsets,
-            targets, self.budget,
+            targets,
         )
         counter("graph.freezes").inc()
         gauge("graph.interned_states").set(n)

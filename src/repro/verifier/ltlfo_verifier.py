@@ -37,9 +37,7 @@ from ..spec.composition import Composition
 from .domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
-from .parallel import (
-    SweepContext, SweepPayload, grid_tasks, resolve_workers, run_sweep,
-)
+from .parallel import SweepContext, SweepPayload, grid_tasks, run_sweep
 from .product import SearchBudget
 from .refutation import PropertyRefutation
 from .result import VerificationResult
@@ -87,21 +85,6 @@ def preflight(composition: Composition,
     return classify(composition, sentences, semantics)
 
 
-def _valuations(variables: Sequence, domain: VerificationDomain,
-                candidates: Mapping[str, Sequence[Value]] | None
-                ) -> list[dict]:
-    """The canonical valuations of *variables*, restricted to
-    *candidates*."""
-    valuations = canonical_valuations(variables, domain)
-    if not candidates:
-        return valuations
-    return [
-        v for v in valuations
-        if all(var.name not in candidates or v[var] in candidates[var.name]
-               for var in variables)
-    ]
-
-
 def _context(databases: Mapping[str, Instance],
              domain: VerificationDomain) -> SweepContext:
     return SweepContext(tuple(sorted(databases.items())), domain)
@@ -109,7 +92,7 @@ def _context(databases: Mapping[str, Instance],
 
 def _sweep(composition: Composition, contexts: Sequence[SweepContext],
            groups: Sequence, cells, semantics: ChannelSemantics,
-           workers: int, shard: tuple[int, int] | None = None,
+           shard: tuple[int, int] | None = None,
            budget: SearchBudget | None = None,
            env_value_domain: Sequence[Value] | None = None,
            ) -> list[VerificationResult]:
@@ -123,7 +106,7 @@ def _sweep(composition: Composition, contexts: Sequence[SweepContext],
                           if env_value_domain is not None else None),
         budget=budget,
     )
-    return run_sweep(payload, grid_tasks(cells, shard), workers)
+    return run_sweep(payload, grid_tasks(cells, shard))
 
 
 def refute(composition: Composition, group,
@@ -141,9 +124,10 @@ def refute(composition: Composition, group,
     one-group, one-context grid over *group*'s candidate-filtered
     canonical valuations.
     """
-    valuations = _valuations(group.variables, domain, valuation_candidates)
+    valuations = canonical_valuations(group.variables, domain,
+                                      valuation_candidates)
     return _sweep(composition, [_context(databases, domain)], [group],
-                  [(0, 0, valuations)], semantics, workers=1,
+                  [(0, 0, valuations)], semantics,
                   budget=budget, env_value_domain=env_value_domain)[0]
 
 
@@ -185,17 +169,15 @@ def verify(composition: Composition, prop: LTLFOSentence | str,
         standard remedy (a library extension -- the paper does not
         discuss fairness).
     workers:
-        Fan the valuation sweep out across this many worker processes
-        (``None``: the ``REPRO_WORKERS`` environment default, normally
-        1; ``0``: all cores).  Verdicts and counterexamples are
-        identical to the in-process sweep (see
-        :mod:`repro.verifier.parallel`).
+        Accepted for compatibility and has no effect: the sweep always
+        runs in process (:mod:`repro.verifier.parallel`).  Split a
+        sweep with ``shard`` instead.
     shard:
         ``(index, count)`` restricts the sweep to the valuations whose
         global order falls in this shard's residue class
         (``order % count == index``), for splitting one sweep across
-        machines.  Each shard emits a fragment; ``repro merge-shards``
-        reassembles the global verdict (see
+        processes or machines.  Each shard emits a fragment;
+        ``repro merge-shards`` reassembles the global verdict (see
         :mod:`repro.verifier.shards`).
 
     :mod:`repro.verifier.reference` is the plain per-valuation checker
@@ -223,10 +205,9 @@ def verify_all(composition: Composition,
     The keywords mean what they mean for :func:`verify`.  Each
     property gets the domain it would get alone; properties with equal
     domains (the usual case) share one sweep, one task per (property,
-    valuation) and one result group per property.  In-process, one
-    exploration (interner, frozen graph, snapshot/letter caches) serves
-    the whole batch; a pool gets the graph pre-expanded once by the
-    driver.  Verdicts, counterexamples and search counters are identical
+    valuation) and one result group per property.  One exploration
+    (interner, frozen graph, snapshot/letter caches) serves the whole
+    batch.  Verdicts, counterexamples and search counters are identical
     to verifying each property alone.
     """
     sentences = [_as_sentence(p, composition) for p in props]
@@ -242,13 +223,12 @@ def verify_all(composition: Composition,
     results: list[VerificationResult | None] = [None] * len(sentences)
     for dom in dict.fromkeys(domains):
         members = [i for i, d in enumerate(domains) if d == dom]
-        cells = [(group, 0, _valuations(sentences[i].variables, dom,
-                                        valuation_candidates))
+        cells = [(group, 0, canonical_valuations(
+                      sentences[i].variables, dom, valuation_candidates))
                  for group, i in enumerate(members)]
         swept = _sweep(composition, [_context(databases, dom)],
                        [groups[i] for i in members], cells, semantics,
-                       resolve_workers(workers), shard, budget,
-                       env_value_domain)
+                       shard, budget, env_value_domain)
         for i, result in zip(members, swept):
             results[i] = result
     return results
@@ -284,8 +264,7 @@ def verify_over_databases(composition: Composition,
 
     The full (database, valuation) grid is one sweep in combination-major
     order: the first violated cell decides, and the stats aggregate the
-    whole grid, so verdict, counterexample and counters are the same at
-    every worker count.
+    whole grid.
     """
     from .domain import enumerate_databases
 
@@ -305,10 +284,9 @@ def verify_over_databases(composition: Composition,
                                                      [sentence], dbs))
         for dbs in combos
     ]
-    cells = [(0, ctx_idx, _valuations(sentence.variables, ctx.domain,
-                                      valuation_candidates))
+    cells = [(0, ctx_idx, canonical_valuations(
+                  sentence.variables, ctx.domain, valuation_candidates))
              for ctx_idx, ctx in enumerate(contexts)]
     group = PropertyRefutation.of(composition, sentence, fair_scheduling)
     return _sweep(composition, contexts, [group], cells, semantics,
-                  resolve_workers(workers), shard, budget,
-                  env_value_domain)[0]
+                  shard, budget, env_value_domain)[0]

@@ -3,7 +3,7 @@
 :func:`verify_reference` decides what :func:`repro.verifier.verify`
 decides -- and what :func:`~repro.verifier.modular.verify_modular` and
 the protocol verifiers decide, given their refutation object -- without
-interning, frozen graphs, shared letter caches, a task grid or a pool:
+interning, frozen graphs, shared letter caches or a task grid:
 canonical valuations in order over one lazy
 :class:`~repro.verifier.product.TransitionCache` (over snapshot pairs
 when the refutation reads the previous step), one on-the-fly
@@ -35,8 +35,10 @@ from ..runtime.state import GlobalState
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
 from .atoms import SnapshotEvaluator, snapshot_of
-from .domain import VerificationDomain, verification_domain
-from .ltlfo_verifier import _as_sentence, _check_restrictions, _valuations
+from .domain import (
+    VerificationDomain, canonical_valuations, verification_domain,
+)
+from .ltlfo_verifier import _as_sentence, _check_restrictions
 from .product import (
     PairTransitions, ProductSystem, SearchBudget, TransitionCache,
 )
@@ -58,6 +60,19 @@ class ReferenceTransitions(TransitionCache):
             env_one_action_per_move=True,
             env_value_domain=self.env_value_domain,
         )
+
+
+def _valuations(variables: Sequence, domain: VerificationDomain,
+                candidates: Mapping[str, Sequence[Value]] | None
+                ) -> list[dict]:
+    """Every canonical valuation, then those within *candidates* (the
+    production sweep prunes while enumerating instead)."""
+    candidates = candidates or {}
+    return [
+        v for v in canonical_valuations(variables, domain)
+        if all(var.name not in candidates or v[var] in candidates[var.name]
+               for var in variables)
+    ]
 
 
 def verify_reference(composition: Composition,

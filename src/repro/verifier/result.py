@@ -21,7 +21,6 @@ class TaskStats:
     product_nodes: int
     system_states: int
     cancelled: bool = False
-    worker: str = ""
 
 
 @dataclass
@@ -29,19 +28,16 @@ class VerifierStats:
     """Aggregate counters across a whole verification call.
 
     ``tasks_*``/``task_seconds``/``per_task`` are filled by the
-    valuation sweep (:mod:`repro.verifier.parallel`) at any worker
-    count; ``workers`` stays 1 unless a process pool ran the sweep.
-    ``task_seconds`` is the *sum* of per-task wall times (total
-    compute), while ``wall_seconds`` is elapsed time -- their ratio is
-    the effective parallelism.  Cancelled tasks' partial compute is
-    kept separately in ``cancelled_task_seconds`` (it is real work
-    spent, but must not inflate the deterministic headline counters).
+    valuation sweep (:mod:`repro.verifier.parallel`).
+    ``task_seconds`` is the *sum* of per-task wall times, while
+    ``wall_seconds`` is the sweep's elapsed time.  Compute spent on
+    tasks past the decisive order (only a merged shard split has any)
+    is kept separately in ``cancelled_task_seconds``, so it cannot
+    inflate the deterministic headline counters.
 
     ``phase_seconds``/``phase_counts`` hold the per-phase self-time
     breakdown (see :mod:`repro.obs.phases`) and ``rule_cache`` the
-    rule-firing memo deltas (hits/misses/evictions), aggregated across
-    worker processes for pooled runs; ``per_worker`` breaks both down
-    by worker id for the ``repro profile`` per-worker rows.
+    rule-firing memo deltas (hits/misses/evictions).
     """
 
     valuations_checked: int = 0
@@ -49,7 +45,6 @@ class VerifierStats:
     product_nodes_visited: int = 0
     nba_states_total: int = 0
     wall_seconds: float = 0.0
-    workers: int = 1
     #: Global sweep order of the violated task that decided the verdict
     #: (None when satisfied).  Orders are global even under ``--shard``,
     #: so ``repro merge-shards`` picks the overall decisive task as the
@@ -63,7 +58,6 @@ class VerifierStats:
     phase_seconds: dict[str, float] = field(default_factory=dict)
     phase_counts: dict[str, int] = field(default_factory=dict)
     rule_cache: dict[str, int] = field(default_factory=dict)
-    per_worker: dict[str, dict] = field(default_factory=dict)
 
     def merge_search(self, blue: int, red: int) -> None:
         self.product_nodes_visited += blue + red
@@ -90,24 +84,6 @@ class VerifierStats:
         for key, value in delta.items():
             self.rule_cache[key] = self.rule_cache.get(key, 0) + value
 
-    def merge_worker(self, worker: str, tasks: int, wall_seconds: float,
-                     phase_seconds: Mapping[str, float],
-                     rule_cache: Mapping[str, int]) -> None:
-        slot = self.per_worker.get(worker)
-        if slot is None:
-            slot = self.per_worker[worker] = {
-                "tasks": 0, "task_seconds": 0.0,
-                "phase_seconds": {}, "rule_cache": {},
-            }
-        slot["tasks"] += tasks
-        slot["task_seconds"] += wall_seconds
-        for name, value in phase_seconds.items():
-            slot["phase_seconds"][name] = (
-                slot["phase_seconds"].get(name, 0.0) + value
-            )
-        for key, value in rule_cache.items():
-            slot["rule_cache"][key] = slot["rule_cache"].get(key, 0) + value
-
     @property
     def rule_cache_hit_rate(self) -> float | None:
         """Aggregate hit rate of the rule-firing memo, if recorded."""
@@ -125,7 +101,6 @@ class VerifierStats:
             "product_nodes_visited": self.product_nodes_visited,
             "nba_states_total": self.nba_states_total,
             "wall_seconds": self.wall_seconds,
-            "workers": self.workers,
             "decisive_order": self.decisive_order,
             "tasks_run": self.tasks_run,
             "tasks_cancelled": self.tasks_cancelled,
@@ -134,15 +109,6 @@ class VerifierStats:
             "phase_seconds": dict(self.phase_seconds),
             "phase_counts": dict(self.phase_counts),
             "rule_cache": dict(self.rule_cache),
-            "per_worker": {
-                worker: {
-                    "tasks": slot["tasks"],
-                    "task_seconds": slot["task_seconds"],
-                    "phase_seconds": dict(slot["phase_seconds"]),
-                    "rule_cache": dict(slot["rule_cache"]),
-                }
-                for worker, slot in sorted(self.per_worker.items())
-            },
             "per_task": [
                 {
                     "group": t.group, "order": t.order,
@@ -151,7 +117,6 @@ class VerifierStats:
                     "product_nodes": t.product_nodes,
                     "system_states": t.system_states,
                     "cancelled": t.cancelled,
-                    "worker": t.worker,
                 }
                 for t in self.per_task
             ],
@@ -213,18 +178,6 @@ class VerificationResult:
             f"product nodes: {self.stats.product_nodes_visited}, "
             f"time: {self.stats.wall_seconds:.3f}s"
         )
-        if self.stats.workers > 1:
-            lines += (
-                f"\n  workers: {self.stats.workers}, "
-                f"tasks: {self.stats.tasks_run} run + "
-                f"{self.stats.tasks_cancelled} cancelled, "
-                f"compute: {self.stats.task_seconds:.3f}s"
-            )
-            if self.stats.cancelled_task_seconds:
-                lines += (
-                    f" (+{self.stats.cancelled_task_seconds:.3f}s "
-                    "cancelled)"
-                )
         hit_rate = self.stats.rule_cache_hit_rate
         if hit_rate is not None:
             cache = self.stats.rule_cache

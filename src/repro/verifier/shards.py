@@ -1,6 +1,6 @@
 """Shard fragments and their merge: one sweep split across machines.
 
-The shard plane of the distributed sweep
+The one way to split a valuation sweep
 (:mod:`repro.verifier.parallel`): ``repro verify --shard i/N`` runs the
 i-th residue class of the valuation grid (``order % N == i``) and
 writes a JSON *fragment* -- verdict, decisive order, per-task stats,
@@ -21,7 +21,7 @@ The merge is deterministic and provably equal to the unsharded sweep:
   rows at or before the *global* decisive order.  Every such row exists
   and is uncancelled in exactly one fragment (a shard only cancels
   orders past its own decisive order, which is >= the global one), so
-  the recount equals the sequential sweep's.
+  the recount equals the unsharded sweep's.
 * **Metrics.**  Registry snapshots merge by kind: counters and phase
   accumulators add, gauges take the maximum, histograms add bucket-wise
   (:func:`merge_metrics_snapshots`).  Wall time is the max across
@@ -183,11 +183,9 @@ def _merge_property(entries: Sequence[Mapping]) -> dict:
     task_seconds = cancelled_seconds = 0.0
     system_states = 0
     wall = 0.0
-    workers = 1
     for entry in entries:
         stats = entry["stats"]
         wall = max(wall, stats["wall_seconds"])
-        workers = max(workers, stats["workers"])
         system_states = max(system_states, stats["system_states"])
         for row in stats["per_task"]:
             counted = not row["cancelled"] and row["order"] <= cutoff
@@ -200,13 +198,6 @@ def _merge_property(entries: Sequence[Mapping]) -> dict:
             else:
                 tasks_cancelled += 1
                 cancelled_seconds += row["wall_seconds"]
-        if not stats["per_task"]:
-            # a shard that ran its slice sequentially (workers=1 falls
-            # back in-process) has headline numbers but no rows; they
-            # are already cutoff-filtered by its own early stop
-            valuations += stats["valuations_checked"]
-            nodes += stats["product_nodes_visited"]
-            nba += stats["nba_states_total"]
     merged = {
         "property": entries[0]["property"],
         "verdict": "VIOLATED" if decisive is not None else "SATISFIED",
@@ -225,7 +216,6 @@ def _merge_property(entries: Sequence[Mapping]) -> dict:
             "nba_states_total": nba,
             "system_states": system_states,
             "wall_seconds": wall,
-            "workers": workers,
             "tasks_run": tasks_run,
             "tasks_cancelled": tasks_cancelled,
             "task_seconds": task_seconds,
@@ -280,7 +270,6 @@ def result_from_merged(entry: Mapping) -> VerificationResult:
         product_nodes_visited=stats_in["product_nodes_visited"],
         nba_states_total=stats_in["nba_states_total"],
         wall_seconds=stats_in["wall_seconds"],
-        workers=stats_in["workers"],
         decisive_order=entry["decisive_order"],
         tasks_run=stats_in["tasks_run"],
         tasks_cancelled=stats_in["tasks_cancelled"],

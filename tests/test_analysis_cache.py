@@ -5,6 +5,9 @@ to cold ones (text, JSON, and SARIF), document hits skip all pass work,
 and editing one peer invalidates only that peer's entry.
 """
 
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
@@ -183,3 +186,43 @@ peer B {
         lint_cached(inventing, cache=cache)
         assert cache.peer_hits == 0
         assert cache.peer_misses == 2
+
+
+class TestFixpointsOncePerLint:
+    """A cold lint computes each whole-composition fixpoint once: the
+    passes that read it share it through the analysis context."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.analysis import provenance, reachability
+
+        calls = Counter()
+        for module, name in ((provenance, "compute_provenance"),
+                             (reachability, "compute_available")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_lint_composition(self, calls):
+        from repro.library.ecommerce import ecommerce_composition
+
+        lint_composition(ecommerce_composition())
+        assert calls == {"compute_provenance": 1, "compute_available": 1}
+
+    def test_lint_text(self, calls):
+        lint_text(TWO_PEER_SPEC)
+        assert calls == {"compute_provenance": 1, "compute_available": 1}
+
+    def test_cold_lint_cached(self, calls, tmp_path):
+        from repro.library.ecommerce import ecommerce_composition
+
+        lint_cached_composition(ecommerce_composition(),
+                                cache=LintCache(tmp_path))
+        assert calls == {"compute_provenance": 1, "compute_available": 1}
+        lint_cached(TWO_PEER_SPEC, cache=LintCache(tmp_path))
+        assert calls == {"compute_provenance": 2, "compute_available": 2}

@@ -1,7 +1,10 @@
 """Tests for the command-line interface (python -m repro)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -271,17 +274,17 @@ class TestProfileCommand:
         assert main(["profile", "nosuchlib"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_profile_workers_prints_per_worker_rows(self, capsys,
-                                                    tmp_path):
-        out_json = tmp_path / "m.json"
-        code = main(["profile", "loan", "--workers", "2",
-                     "--property", "letter_needs_application",
-                     "--metrics-json", str(out_json)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "per-worker breakdown" in out
-        assert "pid-" in out
-        payload = json.loads(out_json.read_text())
-        assert payload["command"] == "profile"
-        (entry,) = payload["results"]
-        assert entry["stats"]["per_worker"]
+
+def test_cli_import_loads_no_process_pool_modules():
+    """Every sweep runs in process, so the CLI's cold import pays for
+    no multiprocessing or concurrent.futures machinery."""
+    root = Path(__file__).resolve().parent.parent
+    probe = ("import sys, repro.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'multiprocessing' "
+             "or m.startswith('concurrent.futures')))")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=root, check=True,
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    ).stdout
+    assert out.strip() == "[]"

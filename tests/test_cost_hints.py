@@ -1,29 +1,7 @@
-"""Tests for the static cost model and pool batch planning."""
+"""Tests for the static cost model."""
 
 from repro.analysis import lint_composition
 from repro.analysis.cost import composition_cost, peer_state_bits
-from repro.verifier.parallel import SweepTask, plan_batches
-
-
-def grid(groups, ctxs, per_cell):
-    tasks = []
-    for group in range(groups):
-        order = 0
-        for ctx in range(ctxs):
-            for _ in range(per_cell):
-                tasks.append(SweepTask(group=group, order=order, ctx=ctx,
-                                       valuation=()))
-                order += 1
-    return tasks
-
-
-class TestPlanBatches:
-    def test_batches_cover_tasks_in_order(self):
-        tasks = grid(2, 2, 7)
-        batches = plan_batches(tasks, 3)
-        assert [t for b in batches for t in b] == tasks
-        for batch in batches:
-            assert len({(t.group, t.ctx) for t in batch}) == 1
 
 
 class TestCostModel:

@@ -1,30 +1,24 @@
-"""The distributed sweep: pool batches, sharding, crashes, start methods.
+"""The sweep split: sharding, worker counts, hash seeds.
 
 The determinism contract, tested differentially: the verdict, the
 decisive valuation (and its global ``decisive_order``), and the
 counterexample lasso must be bit-for-bit identical across
 
-* worker counts (1 / 2 / 4),
+* the ``workers=`` keyword (0 / 2 / 4), which has no effect: every
+  sweep runs in process,
 * ``--shard`` runs -- a trivial 1-shard run and a 3-shard split merged
-  back through :func:`repro.verifier.merge_fragments`,
-* the ``fork`` and ``spawn`` start methods (with fair scheduling too),
-* the interpreter's hash seed (``PYTHONHASHSEED``), and
-* a pool crash: a worker killed mid-task must trip the
-  ``BrokenProcessPool`` fallback, which re-runs the sweep in the driver
-  with the same verdict.
+  back through :func:`repro.verifier.merge_fragments` (with fair
+  scheduling too), and
+* the interpreter's hash seed (``PYTHONHASHSEED``).
 
-Every pooled run must leave no child process behind.  Plus white-box
-units for the grid pieces: ``plan_batches`` (batches never span a
-``(group, ctx)`` exploration), ``shard_filter`` (disjoint complete
-partition with global orders), ``resolve_shard`` validation and the
-payload's pickle protocol.  A hypothesis property closes the loop over
-random sender-receiver style compositions.
+Plus white-box units for the grid pieces: ``shard_filter`` (disjoint
+complete partition with global orders) and ``resolve_shard``
+validation.  A hypothesis property closes the loop over random
+sender-receiver style compositions.
 """
 
 import json
-import multiprocessing
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -33,20 +27,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fo import Instance
-from repro.library import ecommerce, payments
-from repro.obs import counters_snapshot
+from repro.library import ecommerce
 from repro.runtime import validate_lasso
 from repro.spec import Composition, PeerBuilder
-from repro.spec.channels import DECIDABLE_DEFAULT
 from repro.verifier import (
-    SharedExploration, TransitionCache, merge_fragments, resolve_shard,
-    result_from_merged, shard_filter, shard_fragment, verification_domain,
-    verify,
+    merge_fragments, resolve_shard, result_from_merged, shard_filter,
+    shard_fragment, verification_domain, verify,
 )
 from repro.verifier.domain import VerificationDomain
-from repro.verifier.parallel import (
-    SweepContext, SweepPayload, SweepTask, payload_to_bytes, plan_batches,
-)
+from repro.verifier.parallel import SweepTask
 
 SAFETY = "forall x: G( R.got(x) -> S.items(x) )"
 LIVENESS = "forall x: G( S.pick(x) -> F R.got(x) )"
@@ -81,13 +70,17 @@ def _verify(comp, dbs, prop, **kwargs):
 
 def _merged_shard_run(comp, dbs, prop, count, workers=1):
     """Run *count* shards separately and merge their fragments."""
-    fragments = []
-    for index in range(count):
-        result = _verify(comp, dbs, prop, workers=workers,
-                         shard=(index, count))
-        fragments.append(
-            shard_fragment([result], (index, count), composition=comp)
-        )
+    return _merged(comp, count, lambda shard: _verify(
+        comp, dbs, prop, workers=workers, shard=shard))
+
+
+def _merged(comp, count, run):
+    """Merge the fragments of ``run(shard)`` over *count* shards."""
+    fragments = [
+        shard_fragment([run((index, count))], (index, count),
+                       composition=comp)
+        for index in range(count)
+    ]
     merged = merge_fragments(fragments)
     assert merged["shards"] == count
     return result_from_merged(merged["properties"][0])
@@ -112,9 +105,18 @@ def _assert_equivalent(reference, other, comp, dbs, dom_values):
     assert not problems, problems
 
 
-def _assert_no_children():
-    children = multiprocessing.active_children()
-    assert not children, children
+def _task_rows(result):
+    """The per-task rows of a run, minus their wall times."""
+    return [(t.group, t.order, t.nba_states, t.product_nodes,
+             t.system_states, t.cancelled) for t in result.stats.per_task]
+
+
+def _assert_same_run(reference, other):
+    """Everything but timing: the same tasks ran and counted alike."""
+    for key in ("tasks_run", "tasks_cancelled", "system_states",
+                "nba_states_total"):
+        assert getattr(other.stats, key) == getattr(reference.stats, key)
+    assert _task_rows(other) == _task_rows(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -131,27 +133,6 @@ def _grid(n_tasks, groups=1, ctxs=1):
                                        valuation=()))
                 order += 1
     return tasks
-
-
-def test_plan_batches_cover_grid_in_order():
-    tasks = _grid(11, groups=2, ctxs=2)
-    batches = plan_batches(tasks, workers=4)
-    flat = [t for batch in batches for t in batch]
-    assert flat == tasks  # nothing lost, global order preserved
-    for batch in batches:
-        assert len({(t.group, t.ctx) for t in batch}) == 1, (
-            "a batch spans two explorations"
-        )
-
-
-def test_plan_batches_chunk_size_targets_steal_granularity():
-    tasks = _grid(64)
-    batches = plan_batches(tasks, workers=4)
-    # 64 tasks / (4 workers * 4 batches each) -> chunks of 4
-    assert max(len(b) for b in batches) == 4
-    assert plan_batches([], workers=4) == []
-    # tiny grids degrade to one-task batches, never to zero batches
-    assert [len(b) for b in plan_batches(_grid(2), workers=8)] == [1, 1]
 
 
 def test_shard_filter_is_a_partition():
@@ -175,27 +156,6 @@ def test_resolve_shard_validates():
             resolve_shard(bad)
 
 
-def test_payload_ships_at_highest_protocol():
-    """The pool payload serializes with protocol 5, not the mp default."""
-    comp, dbs = sender_receiver_case()
-    dom = verification_domain(comp, [], dbs, fresh_count=1)
-    cache = TransitionCache(comp, dbs, dom.values, DECIDABLE_DEFAULT)
-    graph = SharedExploration(cache).complete()
-    payload = SweepPayload(
-        composition=comp,
-        contexts=(SweepContext(tuple(sorted(dbs.items())), dom),),
-        groups=(),
-        semantics=DECIDABLE_DEFAULT,
-        frozen_graph=graph,
-    )
-    data = payload_to_bytes(payload, workers=2)
-    # pickle protocol 5 frames start with \x80\x05
-    assert data[:2] == b"\x80\x05"
-    clone = pickle.loads(data)
-    assert clone.frozen_graph is not None
-    assert clone.frozen_graph.num_states == graph.num_states
-
-
 # ---------------------------------------------------------------------------
 # differential: workers x shards
 
@@ -208,17 +168,16 @@ def test_workers_and_shards_agree(prop, expected):
     reference = _verify(comp, dbs, prop, workers=1)
     assert reference.satisfied == expected, reference.summary()
 
-    for workers in (2, 4):
-        par = _verify(comp, dbs, prop, workers=workers)
-        _assert_equivalent(reference, par, comp, dbs, dom.values)
+    for workers in (0, 2, 4):
+        other = _verify(comp, dbs, prop, workers=workers)
+        _assert_equivalent(reference, other, comp, dbs, dom.values)
+        _assert_same_run(reference, other)
 
     trivial = _verify(comp, dbs, prop, workers=2, shard=(0, 1))
     _assert_equivalent(reference, trivial, comp, dbs, dom.values)
 
     merged = _merged_shard_run(comp, dbs, prop, count=3, workers=2)
     _assert_equivalent(reference, merged, comp, dbs, dom.values)
-    # the liveness case is violated early: pools cancel later tasks
-    _assert_no_children()
 
 
 def test_trivial_shard_matches_unsharded_stats():
@@ -247,77 +206,6 @@ def test_shard_conflicts_are_rejected():
     for bad in ((2, 2), (0, 0)):
         with pytest.raises(ValueError, match="shard"):
             verify(comp, SAFETY, dbs, domain=dom, shard=bad)
-
-
-# ---------------------------------------------------------------------------
-# crash robustness
-
-
-def test_pool_crash_falls_back_sequentially(monkeypatch):
-    """Killing a worker mid-task must not change the verdict or leak."""
-    comp, dbs = sender_receiver_case()
-    reference = _verify(comp, dbs, LIVENESS, workers=1)
-
-    monkeypatch.setenv("REPRO_TEST_KILL_TASK", "0")
-    before = counters_snapshot()
-    crashed = _verify(comp, dbs, LIVENESS, workers=2)
-    after = counters_snapshot()
-
-    broke = (after.get("sweep.pool_broken", 0)
-             - before.get("sweep.pool_broken", 0))
-    assert broke >= 1, "the killed worker did not trip the pool fallback"
-    assert crashed.verdict == reference.verdict
-    assert (crashed.counterexample.valuation
-            == reference.counterexample.valuation)
-    assert crashed.counterexample.lasso == reference.counterexample.lasso
-    _assert_no_children()
-
-
-def test_killed_worker_leaves_no_children(monkeypatch):
-    """Process hygiene under the worst crash: a worker dies mid-task.
-
-    The pool must fall back to the in-process run with the same verdict
-    and reap every worker -- a crashed sweep must not leave processes
-    behind.
-    """
-    comp = payments.payments_composition()
-    dbs = payments.standard_database()
-    prop = payments.PROPERTY_REFUND_AFTER_CAPTURE
-    reference = verify(
-        comp, prop, dbs,
-        valuation_candidates=payments.STANDARD_CANDIDATES, workers=1,
-    )
-
-    monkeypatch.setenv("REPRO_TEST_KILL_TASK", "0")
-    before = counters_snapshot()
-    crashed = verify(
-        comp, prop, dbs,
-        valuation_candidates=payments.STANDARD_CANDIDATES, workers=2,
-    )
-    after = counters_snapshot()
-
-    broke = (after.get("sweep.pool_broken", 0)
-             - before.get("sweep.pool_broken", 0))
-    assert broke >= 1, "the killed worker did not trip the pool fallback"
-    assert crashed.verdict == reference.verdict == "VIOLATED"
-    assert (crashed.counterexample.lasso
-            == reference.counterexample.lasso)
-    _assert_no_children()
-
-
-# ---------------------------------------------------------------------------
-# start methods
-
-
-def test_spawn_start_method_smoke(monkeypatch):
-    """The pool works (and stays deterministic) under spawn workers."""
-    comp, dbs = sender_receiver_case()
-    dom = verification_domain(comp, [], dbs, fresh_count=1)
-    reference = _verify(comp, dbs, LIVENESS, workers=1)
-    monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-    par = _verify(comp, dbs, LIVENESS, workers=2)
-    _assert_equivalent(reference, par, comp, dbs, dom.values)
-    _assert_no_children()
 
 
 FAIR_PROP = "forall x, y: G( P1.seen(x) & P1.seen(y) -> x = y )"
@@ -354,16 +242,20 @@ def _fair_probe(workers):
                   fair_scheduling=True, workers=workers)
 
 
-@pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_fair_scheduling_across_workers_and_start_methods(monkeypatch,
-                                                          start_method):
+@pytest.mark.parametrize("split", ["workers", "shards"])
+def test_fair_scheduling_across_worker_counts_and_shards(split):
     comp, dbs = open_relay_case()
     reference = _fair_probe(workers=1)
     assert not reference.satisfied
-    monkeypatch.setenv("REPRO_START_METHOD", start_method)
-    par = _fair_probe(workers=2)
-    _assert_equivalent(reference, par, comp, dbs, FAIR_DOMAIN.values)
-    _assert_no_children()
+    if split == "workers":
+        other = _fair_probe(workers=2)
+        _assert_equivalent(reference, other, comp, dbs, FAIR_DOMAIN.values)
+        _assert_same_run(reference, other)
+    else:
+        merged = _merged(comp, 2, lambda shard: verify(
+            comp, FAIR_PROP, dbs, domain=FAIR_DOMAIN, fair_scheduling=True,
+            shard=shard))
+        _assert_equivalent(reference, merged, comp, dbs, FAIR_DOMAIN.values)
 
 
 _HASH_SEED_PROBE = """

@@ -3,7 +3,8 @@
 Each domain documents two satisfied and two violated LTL-FO properties
 (the violated ones are races the lossy semantics makes real).  The
 verdicts must be identical under the reference checker, the
-in-process sweep, and a worker pool -- the same determinism contract
+in-process sweep, and a ``workers=2`` call (the keyword has no
+effect) -- the same determinism contract
 the fuzzer checks on random specs, pinned here on the curated ones.
 """
 
@@ -53,7 +54,7 @@ def test_documented_verdicts(name):
 
 @pytest.mark.parametrize("name", ["payments", "dispatch"])
 def test_engines_and_workers_agree(name):
-    """Reference checker, in-process sweep, and a 2-worker pool: same
+    """Reference checker, in-process sweep, and ``workers=2``: same
     answers."""
     comp, dbs, candidates, expected = _domain_case(name)
     for prop, _satisfied in expected:

@@ -15,7 +15,7 @@ import pytest
 from repro.obs import (
     DEFAULT_TIME_BUCKETS, Histogram, MetricsRegistry, REGISTRY,
     configure_tracing, counter, diff_numeric, gauge, histogram,
-    merge_numeric, phase, phase_counts, phase_seconds, reset_for_worker,
+    merge_numeric, phase, phase_counts, phase_seconds,
     tracing_enabled,
 )
 from repro.obs import metrics as metrics_mod
@@ -84,12 +84,6 @@ class TestMetricsRegistry:
         assert into == {"a": 3, "b": 2.5, "c": 1}
         delta = diff_numeric({"a": 3, "b": 2.5, "c": 1}, {"a": 1, "b": 2.5})
         assert delta == {"a": 2, "c": 1}
-
-    def test_reset_for_worker_clears_registry(self):
-        counter("t.c").inc()
-        reset_for_worker()
-        assert REGISTRY.snapshot()["counters"] == {}
-
 
 @pytest.mark.obs
 class TestMetricsSnapshotSchema:

@@ -9,8 +9,10 @@ instances also check :func:`answers` against direct enumeration.
 
 For :mod:`repro.verifier.domain`, the symmetry canonicalization must
 actually be canonical: ``canonical_valuations`` enumerates exactly the
-fixpoints of :func:`canonicalize_valuation`, and the representative of
-a valuation is invariant under any permutation of the fresh values.
+fixpoints of :func:`canonicalize_valuation`, the representative of
+a valuation is invariant under any permutation of the fresh values, and
+restricting variables to candidate values while enumerating yields the
+unrestricted list, filtered, in the same order.
 """
 
 import itertools
@@ -174,3 +176,29 @@ def test_canonical_valuations_are_exactly_the_fixpoints(domain, variables):
             for c in seen} == \
         {tuple(sorted((v.name, val) for v, val in c.items()))
          for c in canon_set}
+
+
+@st.composite
+def domain_vars_candidates(draw):
+    domain = draw(domains)
+    variables = draw(variable_tuples)
+    # "w" names no variable: its candidates must restrict nothing
+    names = [var.name for var in variables] + ["w"]
+    candidates = {
+        name: tuple(draw(st.lists(st.sampled_from(domain.values),
+                                  unique=True)))
+        for name in draw(st.lists(st.sampled_from(names), unique=True))
+    }
+    return domain, variables, candidates
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=domain_vars_candidates())
+def test_candidate_pruning_equals_filtering_afterwards(data):
+    domain, variables, candidates = data
+    filtered = [
+        v for v in canonical_valuations(variables, domain)
+        if all(var.name not in candidates
+               or v[var] in candidates[var.name] for var in variables)
+    ]
+    assert canonical_valuations(variables, domain, candidates) == filtered

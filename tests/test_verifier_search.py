@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import VerificationError
-from repro.verifier.search import SearchCancelled, find_accepting_lasso
+from repro.verifier.search import find_accepting_lasso
 
 
 class GraphProduct:
@@ -88,71 +88,3 @@ class TestSearch:
         lasso, stats = find_accepting_lasso(g)
         assert lasso is None
         assert stats.blue_visited == 2
-
-
-class TestCooperativeCancellation:
-    """Regression: ``should_stop`` polling must be loop-driven.
-
-    The seed polled on ``stats.nodes_visited % INTERVAL == 0``; during
-    postorder stretches (nodes stall at a non-multiple) the callback
-    was never consulted, so a cancelled task could run to completion.
-    Polling now uses a monotonic per-loop tick, which (a) fires on the
-    very first iteration and (b) fires at least once every
-    ``_STOP_POLL_INTERVAL`` iterations no matter how node counts move.
-    """
-
-    def test_immediate_stop_cancels_tiny_graph(self):
-        # tiny graph: nodes_visited is 1 (not a multiple of 128) for the
-        # whole search, so the seed's predicate never polled at all
-        g = GraphProduct({0: [1], 1: [0]}, [0], [])
-        with pytest.raises(SearchCancelled):
-            find_accepting_lasso(g, should_stop=lambda: True)
-
-    def test_stop_during_long_postorder(self):
-        # a deep path explored down then popped back up: from the flip
-        # point on, every iteration is a postorder pop and blue/red
-        # counts no longer move
-        depth = 600
-        edges = {i: [i + 1] for i in range(depth)}
-        edges[depth] = []
-        polls = []
-
-        def stop_after_three():
-            polls.append(True)
-            return len(polls) >= 3
-
-        g = GraphProduct(edges, [0], [])
-        with pytest.raises(SearchCancelled):
-            find_accepting_lasso(g, should_stop=stop_after_three)
-        # bounded latency: with tick-driven polling the callback fires
-        # roughly every _STOP_POLL_INTERVAL iterations
-        assert len(polls) == 3
-
-    def test_red_search_polls_on_tick(self):
-        # the accepting seed triggers a red DFS over the same deep path;
-        # cancellation must interrupt it too
-        depth = 400
-        edges = {i: [i + 1] for i in range(depth)}
-        edges[depth] = []
-        seen_blue = []
-
-        def stop_in_red():
-            # let the blue DFS finish; cancel once red starts (red
-            # searches poll with their own tick starting at 0)
-            return len(seen_blue) > 0
-
-        class RedProduct(GraphProduct):
-            def is_accepting(self, node):
-                if node == 0:
-                    seen_blue.append(node)
-                    return True
-                return False
-
-        g = RedProduct(edges, [0], [])
-        with pytest.raises(SearchCancelled):
-            find_accepting_lasso(g, should_stop=stop_in_red)
-
-    def test_no_stop_callback_still_completes(self):
-        g = GraphProduct({0: [1], 1: []}, [0], [])
-        lasso, _ = find_accepting_lasso(g, should_stop=lambda: False)
-        assert lasso is None
